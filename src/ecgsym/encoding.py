@@ -39,8 +39,15 @@ class SymbolSequence:
             raise ValueError("empty sequence")
         if self.alphabet_size not in _ALPHABETS:
             raise ValueError("alphabet_size must be 2 or 3")
-        # validate before narrowing the dtype so out-of-range values cannot wrap
-        if not np.isin(raw, _ALPHABETS[self.alphabet_size]).all():
+        alphabet = _ALPHABETS[self.alphabet_size]
+        # validate before narrowing the dtype so out-of-range values cannot
+        # wrap; NaN fails both range comparisons
+        if (
+            raw.dtype.kind not in "biuf"
+            or not alphabet[0] <= raw.min()
+            or not raw.max() <= alphabet[-1]
+            or (raw.dtype.kind == "f" and (raw % 1).any())
+        ):
             raise ValueError("symbols outside the declared alphabet")
         self.symbols = raw.astype(np.int8)
 

@@ -25,13 +25,27 @@ class FeatureVector:
     c_norm: float
 
 
+_MAX_DISTINCT = 256
+
+
 def _as_symbols(seq) -> np.ndarray:
+    """Small non-negative codes, one per symbol, that preserve equality.
+
+    A :class:`SymbolSequence` is shifted from {-1, 0, 1} to {0, 1, 2}; a
+    plain sequence is rank-coded, so equal values share a code and
+    distinct values get distinct ones. Codes fit in one byte each.
+    """
     if isinstance(seq, SymbolSequence):
-        return seq.symbols
+        return (seq.symbols + 1).astype(np.uint8)
     arr = np.asarray(seq)
     if arr.size == 0:
         raise ValueError("empty sequence")
-    return arr
+    values, codes = np.unique(arr, return_inverse=True)
+    if values.size > _MAX_DISTINCT:
+        raise ValueError(
+            f"{values.size} distinct symbols; at most {_MAX_DISTINCT} are supported"
+        )
+    return codes.astype(np.uint8)
 
 
 def _alphabet_size(seq, alphabet_size) -> int:
@@ -50,10 +64,11 @@ def shannon_entropy(seq) -> float:
     Probabilities are relative frequencies over the sequence; symbols
     that never occur contribute nothing.
     """
-    symbols = _as_symbols(seq)
-    _, counts = np.unique(symbols, return_counts=True)
-    p = counts / symbols.size
-    return float(-(p * np.log2(p)).sum())
+    codes = _as_symbols(seq)
+    counts = np.bincount(codes)
+    p = counts[counts > 0] / codes.size
+    # 0.0 - x rather than -x, so a constant sequence gives +0.0, not -0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def shannon_entropy_normalized(seq, alphabet_size: int | None = None) -> float:
@@ -74,19 +89,30 @@ def lz_complexity(seq) -> int:
     last symbol (the copy window may overlap the phrase being built); the
     first non-copyable extension closes the phrase. A trailing phrase cut
     short by the end of the sequence counts as one.
+
+    The parse carries ``p``, the earliest start of a copy of the current
+    phrase. Every copy of a word is also a copy of its prefix, so the
+    earliest copy never moves left as the phrase grows: if the symbol
+    after the copy at ``p`` equals the next phrase symbol, ``p`` stays the
+    earliest copy and the phrase extends without a search; otherwise the
+    search resumes at ``p + 1``. A new phrase starts with ``p = 0``, since
+    the empty prefix occurs everywhere before it.
     """
-    symbols = _as_symbols(seq)
-    # chr() mapping gives C-speed substring search; symbol values are small ints.
-    s = "".join(chr(49 + int(v)) for v in symbols)
+    s = _as_symbols(seq).tobytes()
     n = len(s)
-    count, m, k = 0, 0, 1
+    # the first symbol has nothing before it to copy, so it is a phrase alone
+    count, m, k, p = 1, 1, 1, 0
     while m + k <= n:
-        if s.find(s[m : m + k], 0, m + k - 1) != -1:
+        if s[p + k - 1] == s[m + k - 1]:
+            k += 1
+            continue
+        p = s.find(s[m : m + k], p + 1, m + k - 1)
+        if p != -1:
             k += 1
         else:
             count += 1
             m += k
-            k = 1
+            k, p = 1, 0
     if k > 1:
         count += 1
     return count

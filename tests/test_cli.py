@@ -135,6 +135,15 @@ def test_features_short_sequence_needs_flag(tmp_path, capsys):
     assert main(["features", str(symbols), "--alphabet", "2", "--allow-short"]) == 0
 
 
+def test_features_constant_sequence_prints_positive_zero(tmp_path, capsys):
+    symbols = tmp_path / "zeros.txt"
+    symbols.write_text("0\n" * 400)
+    assert main(["features", str(symbols), "--alphabet", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "entropy_bits = 0.0\n" in out
+    assert "entropy_norm = 0.0\n" in out
+
+
 def test_ingest_counts_and_manifest(dataset, capsys):
     out = dataset / "ingested"
     code = main(

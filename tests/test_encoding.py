@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -125,6 +127,47 @@ def test_symbol_sequence_validation():
     with pytest.raises(ValueError, match="alphabet"):
         SymbolSequence(np.array([0, 1]), 5)
     assert len(SymbolSequence(np.array([-1, 0, 1]), 3)) == 3
+
+
+OUTSIDE = "symbols outside the declared alphabet"
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, float])
+@pytest.mark.parametrize("alphabet, bad", [(2, -1), (2, 2), (2, 100), (3, -2), (3, 2), (3, -100)])
+def test_symbol_sequence_rejects_out_of_range(dtype, alphabet, bad):
+    with pytest.raises(ValueError, match=OUTSIDE):
+        SymbolSequence(np.array([0, 1, bad], dtype=dtype), alphabet)
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+@pytest.mark.parametrize("bad", [0.5, -0.5, 1 - 1e-12, math.nan, math.inf, -math.inf])
+def test_symbol_sequence_rejects_non_integers(alphabet, bad):
+    with pytest.raises(ValueError, match=OUTSIDE):
+        SymbolSequence(np.array([0.0, 1.0, bad]), alphabet)
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_symbol_sequence_bool_arrays(alphabet):
+    seq = SymbolSequence(np.array([True, False, True]), alphabet)
+    assert seq.symbols.dtype == np.int8
+    assert seq.symbols.tolist() == [1, 0, 1]
+    with pytest.raises(ValueError, match="empty"):
+        SymbolSequence(np.array([], dtype=bool), alphabet)
+
+
+@given(
+    st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.nan]), min_size=1, max_size=8),
+    st.sampled_from([2, 3]),
+)
+def test_symbol_sequence_validation_matches_membership(values, alphabet):
+    raw = np.array(values)
+    if np.isin(raw, (0, 1) if alphabet == 2 else (-1, 0, 1)).all():
+        seq = SymbolSequence(raw, alphabet)
+        assert seq.symbols.dtype == np.int8
+        assert seq.symbols.tolist() == [int(v) for v in values]
+    else:
+        with pytest.raises(ValueError, match=OUTSIDE):
+            SymbolSequence(raw, alphabet)
 
 
 def test_dispatch_matches_direct_calls():

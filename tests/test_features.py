@@ -34,8 +34,11 @@ def ternary(values) -> SymbolSequence:
 # --- entropy ---------------------------------------------------------------------
 
 def test_entropy_constant_is_zero():
-    assert shannon_entropy(binary([1] * 50)) == 0.0
-    assert shannon_entropy(ternary([-1] * 7)) == 0.0
+    # == 0.0 also holds for -0.0, which prints as "-0.0"; copysign tells them apart
+    for seq in (binary([1] * 50), ternary([-1] * 7), [2.5] * 3):
+        h = shannon_entropy(seq)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    assert math.copysign(1.0, shannon_entropy_normalized(ternary([0] * 9))) == 1.0
 
 
 def test_entropy_uniform_binary_is_one_bit():
@@ -134,6 +137,35 @@ def test_lz_bounds(values):
 @given(st.integers(2, 200))
 def test_lz_constant_runs(n):
     assert lz_complexity(binary([1] * n)) == 2
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 60)), min_size=1, max_size=30)
+)
+def test_lz_matches_oracle_on_long_runs(runs):
+    values = [v for v, length in runs for _ in range(length)]
+    assert lz_complexity(ternary(values)) == lz_count(values)
+
+
+def test_lz_plain_sequences_code_values_by_equality():
+    # 0.5 is its own symbol for both features, not a copy of 0
+    assert lz_complexity([0, 0.5, 0, 0.5]) == 3 == lz_count([0, 1, 0, 1])
+    assert shannon_entropy([0, 0.5, 0, 0.5]) == 1.0
+    assert lz_complexity([-60, 3]) == 2
+    assert lz_complexity([7, 7, 7]) == lz_complexity(binary([0, 0, 0]))
+
+
+@given(st.lists(st.sampled_from([-60, -0.5, 0, 0.5, 3, 1e9]), min_size=1, max_size=80))
+def test_lz_plain_sequences_match_oracle_on_ranks(values):
+    ranks = sorted(set(values))
+    assert lz_complexity(values) == lz_count([ranks.index(v) for v in values])
+
+
+def test_plain_sequences_limit_distinct_values():
+    assert lz_complexity(list(range(256))) == 256
+    for feature in (lz_complexity, shannon_entropy):
+        with pytest.raises(ValueError, match="at most 256"):
+            feature(list(range(257)))
 
 
 def test_lz_normalized_values():
