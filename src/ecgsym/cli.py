@@ -29,13 +29,7 @@ from .filtering import (
     make_highpass,
     make_lowpass,
 )
-from .records import (
-    RecordHeader,
-    load_labeled_segments,
-    read_binary_record,
-    read_label_sidecar,
-    read_text_signal,
-)
+from .records import read_text_signal
 
 
 class UsageError(Exception):
@@ -65,6 +59,31 @@ def _read_signal(args) -> Signal:
         skip_header=args.skip_header,
         sample_rate=args.sample_rate,
     )
+
+
+def _add_run_flags(p):
+    """The flags of run and pairs; their dests are also the config-file keys."""
+    p.add_argument("records", nargs="*", default=[])
+    p.add_argument("--config", default=None, help="flat key = value configuration file")
+    p.add_argument("--features", nargs="+", default=None, help="precomputed feature CSVs")
+    p.add_argument("--sidecar", default=None)
+    p.add_argument("--format", choices=("text", "212"), default=None)
+    p.add_argument("--channel", type=int, default=None)
+    p.add_argument("--signal-count", type=int, default=None)
+    p.add_argument("--column", type=int, default=None)
+    p.add_argument("--delimiter", default=None)
+    p.add_argument("--skip-header", action="store_true")
+    p.add_argument("--sample-rate", type=float, default=None)
+    p.add_argument("--segment-length", type=int, default=None)
+    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--no-filter", action="store_true")
+    p.add_argument("--pad-before", type=int, default=None)
+    p.add_argument("--pad-after", type=int, default=None)
+    p.add_argument("--grid", default=None, help="encoder grid file")
+    p.add_argument("--zero-tol", type=float, default=None)
+    p.add_argument("--mode", choices=("forall", "exists"), default=None)
+    p.add_argument("--out", default=None)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,28 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "full pipeline: ingest, filter, encode, featurize, evaluate, rank"),
         ("pairs", "best encoder per class pair"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("records", nargs="*")
-        p.add_argument("--config", default=None, help="flat key = value configuration file")
-        p.add_argument("--features", nargs="+", default=None, help="precomputed feature CSVs")
-        p.add_argument("--sidecar", default=None)
-        p.add_argument("--format", choices=("text", "212"), default=None)
-        p.add_argument("--channel", type=int, default=None)
-        p.add_argument("--signal-count", type=int, default=None)
-        p.add_argument("--column", type=int, default=None)
-        p.add_argument("--delimiter", default=None)
-        p.add_argument("--skip-header", action="store_true")
-        p.add_argument("--sample-rate", type=float, default=None)
-        p.add_argument("--segment-length", type=int, default=None)
-        p.add_argument("--stride", type=int, default=None)
-        p.add_argument("--no-filter", action="store_true")
-        p.add_argument("--pad-before", type=int, default=None)
-        p.add_argument("--pad-after", type=int, default=None)
-        p.add_argument("--grid", default=None, help="encoder grid file")
-        p.add_argument("--zero-tol", type=float, default=None)
-        p.add_argument("--mode", choices=("forall", "exists"), default=None)
-        p.add_argument("--seed", type=int, default=None, help="accepted for config parity; unused")
-        p.add_argument("--out", default=None)
+        p = _add_run_flags(sub.add_parser(name, help=help_text))
         if name == "pairs":
             p.add_argument("--pairs", default=None, help="comma-separated A:B pairs (default: all)")
             p.set_defaults(func=cmd_pairs)
@@ -166,27 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args) -> int:
-    signals = {}
-    for path in args.records:
-        record_id = Path(path).stem
-        if args.format == "212":
-            header = RecordHeader(signal_count=args.signal_count, sample_rate=args.sample_rate)
-            channels = read_binary_record(path, header)
-            if args.channel >= len(channels):
-                raise ValueError(f"{path}: no channel {args.channel}")
-            signals[record_id] = channels[args.channel]
-        else:
-            signals[record_id] = read_text_signal(
-                path,
-                column=args.column,
-                delimiter=args.delimiter,
-                skip_header=args.skip_header,
-                sample_rate=args.sample_rate,
-            )
-    spans = read_label_sidecar(args.sidecar)
-    segments, skipped, dropped = load_labeled_segments(
-        signals, spans, args.segment_length, args.stride
-    )
+    segments, skipped, dropped = exp._ingest(_config_from_args(args))
     counts: dict[str, int] = {}
     for seg in segments:
         counts[seg.label] = counts.get(seg.label, 0) + 1
@@ -303,62 +281,58 @@ def _bool_from_text(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _build_run_config(args) -> exp.ExperimentConfig:
-    file_values = exp.load_config_file(args.config) if args.config else {}
+# ExperimentConfig fields of the run/pairs flag dests whose names differ
+_CONFIG_FIELDS = {
+    "format": "record_format",
+    "pad_before": "pad_lead",
+    "pad_after": "pad_trail",
+    "out": "out_dir",
+    "records": "record_paths",
+    "features": "feature_files",
+    "grid": "encoders",
+}
 
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return cast(file_values[key])
-        return default
 
-    records = list(args.records)
-    if not records and "records" in file_values:
-        records = file_values["records"].replace(",", " ").split()
+def _config_from_args(args) -> exp.ExperimentConfig:
+    """ExperimentConfig of the ingest, run or pairs flags over the --config file.
 
-    if args.grid is not None:
-        encoders = exp.parse_grid_file(args.grid)
-    elif "grid" in file_values:
-        encoders = exp.parse_grid_file(file_values["grid"])
-    else:
-        encoders = exp.default_encoder_grid()
-
-    if args.no_filter:
-        filtering = False
-    elif "filter" in file_values:
-        filtering = _bool_from_text(file_values["filter"])
-    else:
-        filtering = True
-
-    skip_header = args.skip_header or _bool_from_text(file_values.get("skip_header", "no"))
-
-    return exp.ExperimentConfig(
-        record_paths=tuple(records),
-        sidecar=pick(args.sidecar, "sidecar", str, None),
-        feature_files=tuple(args.features or ()),
-        record_format=pick(args.format, "format", str, "text"),
-        channel=pick(args.channel, "channel", int, 0),
-        column=pick(args.column, "column", int, 0),
-        delimiter=pick(args.delimiter, "delimiter", str, None),
-        skip_header=skip_header,
-        signal_count=pick(args.signal_count, "signal_count", int, 2),
-        sample_rate=pick(args.sample_rate, "sample_rate", float, 360.0),
-        segment_length=pick(args.segment_length, "segment_length", int, 720),
-        stride=pick(args.stride, "stride", int, None),
-        apply_filtering=filtering,
-        pad_lead=pick(args.pad_before, "pad_before", int, exp.DEFAULT_PAD),
-        pad_trail=pick(args.pad_after, "pad_after", int, exp.DEFAULT_PAD),
-        encoders=tuple(encoders),
-        zero_tol=pick(args.zero_tol, "zero_tol", float, 0.0),
-        mode=pick(args.mode, "mode", str, "forall"),
-        out_dir=pick(args.out, "out", str, None),
+    The file's keys are the run/pairs flag dests, except ``features``, and
+    each value is cast like its flag's argument; ``filter`` stands for the
+    inverse of ``no_filter``. A flag that differs from its default
+    overrides the file.
+    """
+    flags = {a.dest: a for a in _add_run_flags(_Parser(add_help=False))._actions}
+    del flags["config"]
+    values = {}
+    if getattr(args, "config", None):  # ingest has no --config
+        keys = set(flags) - {"features", "no_filter"} | {"filter"}
+        for key, text in exp.load_config_file(args.config, keys).items():
+            if key == "filter":
+                values["no_filter"] = not _bool_from_text(text)
+            elif flags[key].nargs == 0:
+                values[key] = _bool_from_text(text)
+            elif flags[key].nargs == "*":
+                values[key] = text.replace(",", " ").split()
+            else:
+                values[key] = (flags[key].type or str)(text)
+    values.update(
+        (dest, value)
+        for dest, value in vars(args).items()
+        if dest in flags and value != flags[dest].default
     )
+    if "grid" in values:
+        values["grid"] = exp.parse_grid_file(values["grid"])
+    fields = {
+        _CONFIG_FIELDS.get(dest, dest): tuple(value) if isinstance(value, list) else value
+        for dest, value in values.items()
+    }
+    fields["apply_filtering"] = not fields.pop("no_filter", False)
+    return exp.ExperimentConfig(**fields)
 
 
 def cmd_run(args) -> int:
     try:
-        config = _build_run_config(args)
+        config = _config_from_args(args)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from None
     result = exp.run_experiment(config)
@@ -373,9 +347,7 @@ def cmd_run(args) -> int:
 
 def cmd_pairs(args) -> int:
     try:
-        config = _build_run_config(args)
-        if config.out_dir is not None:
-            config = dataclasses.replace(config, out_dir=None)
+        config = _config_from_args(args)
         pairs = None
         if args.pairs:
             pairs = []
@@ -386,14 +358,14 @@ def cmd_pairs(args) -> int:
                 pairs.append((first.strip(), second.strip()))
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from None
-    result = exp.run_experiment(config)
+    result = exp.run_experiment(dataclasses.replace(config, out_dir=None))
     if pairs is None:
-        names = result.entries[0].dataset.names
+        names = list(result.class_counts)
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     table = exp.pairwise_table(result, pairs, config.mode)
     text = exp.pair_table_text(table)
-    if args.out:
-        out = Path(args.out)
+    if config.out_dir:
+        out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "pairs.txt").write_text(text)
     print(text, end="")

@@ -82,13 +82,26 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def _distance_table(dataset: LabeledFeatureSet):
-    cents = np.stack([centroid(pts) for pts in dataset.classes.values()])
-    tables = {}
-    for name, pts in dataset.classes.items():
-        diff = pts[:, None, :] - cents[None, :, :]
-        tables[name] = np.sqrt((diff * diff).sum(axis=-1))
-    return tables
+def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
+    """Overlapped elements per class, all counted from one (N, m) table of
+    every element's distance to every class centroid."""
+    _check_mode(mode)
+    if len(dataset.classes) < 2:
+        raise ValueError("need at least two classes")
+    classes = list(dataset.classes.values())
+    points = np.concatenate(classes)
+    dists = np.empty((len(points), len(classes)))
+    # one centroid column at a time: no (N, m, d) difference array is held
+    for j, pts in enumerate(classes):
+        diff = points - centroid(pts)
+        dists[:, j] = np.sqrt((diff * diff).sum(axis=1))
+    own = np.repeat(np.eye(len(classes), dtype=bool), dataset.sizes, axis=0)
+    cond = dists[own][:, None] >= dists
+    if mode == "forall":
+        hits = (cond | own).all(axis=1)
+    else:
+        hits = (cond & ~own).any(axis=1)
+    return own[hits].sum(axis=0)
 
 
 def class_overlap(dataset: LabeledFeatureSet, name: str, mode: str = "forall") -> int:
@@ -98,21 +111,10 @@ def class_overlap(dataset: LabeledFeatureSet, name: str, mode: str = "forall") -
     >= its distance to every other centroid; in "exists" mode one other
     centroid at most as far away suffices.
     """
-    _check_mode(mode)
-    if len(dataset.classes) < 2:
-        raise ValueError("need at least two classes")
+    counts = _overlap_counts(dataset, mode)
     if name not in dataset.classes:
         raise ValueError(f"unknown class name(s): {name}")
-    dists = _distance_table(dataset)[name]
-    i = dataset.names.index(name)
-    cond = dists[:, i][:, None] >= dists
-    if mode == "forall":
-        cond[:, i] = True
-        hits = cond.all(axis=1)
-    else:
-        cond[:, i] = False
-        hits = cond.any(axis=1)
-    return int(hits.sum())
+    return int(counts[dataset.names.index(name)])
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,4 @@ def report_from_counts(names, sizes, overlaps, mode: str = "forall") -> Distribu
 
 def evaluate_distribution(dataset: LabeledFeatureSet, mode: str = "forall") -> DistributionReport:
     """Compute the overlap report of a labeled dataset."""
-    _check_mode(mode)
-    if len(dataset.classes) < 2:
-        raise ValueError("need at least two classes")
-    overlaps = [class_overlap(dataset, name, mode) for name in dataset.names]
-    return report_from_counts(dataset.names, dataset.sizes, overlaps, mode)
+    return report_from_counts(dataset.names, dataset.sizes, _overlap_counts(dataset, mode), mode)

@@ -10,6 +10,8 @@ overlap metric without signal data.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -93,8 +95,11 @@ def parse_grid_file(path) -> list[EncoderSpec]:
     return grid
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Read a flat 'key = value' configuration file."""
+def load_config_file(path, keys=None) -> dict[str, str]:
+    """Read a flat 'key = value' configuration file.
+
+    With ``keys`` given, a key outside it raises with its row number.
+    """
     values: dict[str, str] = {}
     with open(path) as fh:
         for row_no, raw in enumerate(fh, start=1):
@@ -104,7 +109,10 @@ def load_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}: row {row_no} is not 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if keys is not None and key not in keys:
+                raise ValueError(f"{path}: row {row_no}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -156,12 +164,12 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class EncoderRun:
-    """Result of one grid entry: per-segment feature rows and the report."""
+    """Result of one grid entry: per-segment feature rows, in segment order,
+    and the report."""
 
     label: str
     spec: EncoderSpec | None
     rows: list[tuple[str, float, float]]
-    dataset: LabeledFeatureSet
     report: DistributionReport
 
 
@@ -197,9 +205,12 @@ def load_features_csv(path, skip_header: bool = False):
             if len(parts) != 3:
                 raise ValueError(f"{path}: row {row_no} needs label,entropy,complexity")
             try:
-                points.append((float(parts[1]), float(parts[2])))
+                point = (float(parts[1]), float(parts[2]))
             except ValueError:
                 raise ValueError(f"{path}: row {row_no} has non-numeric features") from None
+            if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+                raise ValueError(f"{path}: row {row_no} has non-finite features")
+            points.append(point)
             labels.append(parts[0])
     if not labels:
         raise ValueError(f"{path}: no feature rows")
@@ -227,6 +238,10 @@ def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) ->
     for name, center, size, sigma in zip(names, centers, sizes, spreads):
         classes[str(name)] = center + rng.normal(0.0, sigma, size=(int(size), centers.shape[1]))
     return LabeledFeatureSet(classes)
+
+
+def _feature_set(rows) -> LabeledFeatureSet:
+    return LabeledFeatureSet.from_rows([r[0] for r in rows], [r[1:] for r in rows])
 
 
 def _read_record_signal(path: str, config: ExperimentConfig) -> Signal:
@@ -284,17 +299,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     entry labeled 'precomputed' is produced.
     """
     if config.feature_files:
-        labels, points = [], []
+        rows = []
         for path in config.feature_files:
-            ls, ps = load_features_csv(path, config.skip_header)
-            labels += ls
-            points += ps
-        dataset = LabeledFeatureSet.from_rows(labels, points)
-        rows = [(lab, float(p[0]), float(p[1])) for lab, p in zip(labels, points)]
-        report = evaluate_distribution(dataset, config.mode)
-        entries = [EncoderRun("precomputed", None, rows, dataset, report)]
-        counts = dict(zip(dataset.names, dataset.sizes))
-        result = ExperimentResult(entries, rank_entries(entries), counts)
+            labels, points = load_features_csv(path, config.skip_header)
+            rows += [(label, h, c) for label, (h, c) in zip(labels, points)]
+        report = evaluate_distribution(_feature_set(rows), config.mode)
+        entries = [EncoderRun("precomputed", None, rows, report)]
+        skipped = dropped = 0
     else:
         _check_grid_lengths(config)
         segments, skipped, dropped = _ingest(config)
@@ -312,13 +323,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for label, signal in prepared:
                 fv = extract_features(encode(signal, spec, config.zero_tol))
                 rows.append((label, fv.h_norm, fv.c_norm))
-            dataset = LabeledFeatureSet.from_rows(
-                [r[0] for r in rows], [(r[1], r[2]) for r in rows]
-            )
-            report = evaluate_distribution(dataset, config.mode)
-            entries.append(EncoderRun(spec.label, spec, rows, dataset, report))
-        counts = dict(zip(entries[0].dataset.names, entries[0].dataset.sizes))
-        result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
+            report = evaluate_distribution(_feature_set(rows), config.mode)
+            entries.append(EncoderRun(spec.label, spec, rows, report))
+    counts = dict(Counter(label for label, _, _ in entries[0].rows))
+    result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out_dir is not None:
         write_reports(result.entries, config.out_dir)
         emit_plot_data(result.entries, config.out_dir)
@@ -337,15 +345,14 @@ class PairRow:
 
 def pairwise_table(result: ExperimentResult, pairs, mode: str = "forall") -> list[PairRow]:
     """Best encoder per class pair over the already-computed features."""
+    datasets = [(entry.label, _feature_set(entry.rows)) for entry in result.entries]
     table = []
     for first, second in pairs:
         best_label, best_value = None, None
-        for idx in range(len(result.entries)):
-            entry = result.entries[idx]
-            sub = entry.dataset.subset([first, second])
-            value = evaluate_distribution(sub, mode).overlap_per_element
+        for label, dataset in datasets:
+            value = evaluate_distribution(dataset.subset([first, second]), mode).overlap_per_element
             if best_value is None or value < best_value:
-                best_label, best_value = entry.label, value
+                best_label, best_value = label, value
         table.append(PairRow(first, second, best_label, best_value))
     return table
 

@@ -8,6 +8,7 @@ to a label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def read_text_signal(
     """Read one column of a delimited text file as a Signal.
 
     ``delimiter=None`` splits on any whitespace. Raises with the 1-based
-    row number when a row cannot be parsed.
+    row number when a row cannot be parsed or holds nan or inf.
     """
     values = []
     with open(path) as fh:
@@ -135,11 +136,16 @@ def read_text_signal(
             if column >= len(parts):
                 raise ValueError(f"{path}: row {row_no} has no column {column}")
             try:
-                values.append(float(parts[column]))
+                value = float(parts[column])
             except ValueError:
                 raise ValueError(
                     f"{path}: row {row_no} column {column} is not a number: {parts[column]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: row {row_no} column {column} is not finite: {parts[column]!r}"
+                )
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no samples in column {column}")
     return Signal(np.array(values), sample_rate)

@@ -85,6 +85,14 @@ def test_evaluate_missing_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_feature_is_data_error(tmp_path, capsys, bad):
+    path = tmp_path / "features.csv"
+    path.write_text(f"A,0.5,0.5\nB,0.1,0.2\nB,{bad},0.3\n")
+    assert main(["evaluate", str(path)]) == 2
+    assert "row 3 has non-finite features" in capsys.readouterr().err
+
+
 def test_filter_response_and_output(tmp_path):
     t = np.arange(720) / FS
     write_signal(tmp_path / "sig.txt", np.sin(2 * math.pi * 8.0 * t))
@@ -127,6 +135,15 @@ def test_encode_threshold_without_deviation_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_encode_non_finite_sample_is_data_error(tmp_path, capsys, bad):
+    (tmp_path / "sig.txt").write_text(f"1.0\n2.0\n{bad}\n3.0\n")
+    code = main(["encode", str(tmp_path / "sig.txt"), "--method", "threshold",
+                 "--alphabet", "3", "--deviation", "1/12"])
+    assert code == 2
+    assert "row 3 column 0 is not finite" in capsys.readouterr().err
+
+
 def test_features_short_sequence_needs_flag(tmp_path, capsys):
     symbols = tmp_path / "symbols.txt"
     symbols.write_text("\n".join(["0", "1"] * 20) + "\n")
@@ -156,6 +173,22 @@ def test_ingest_counts_and_manifest(dataset, capsys):
     manifest = (out / "segments.csv").read_text().strip().splitlines()
     assert manifest[0] == "record_id,start,label"
     assert len(manifest) == 5
+
+
+def test_ingest_rejects_duplicate_record_ids_and_empty_classes(dataset, capsys):
+    for sub in ("a", "b"):
+        (dataset / sub).mkdir()
+        (dataset / sub / "r1.txt").write_text((dataset / "r1.txt").read_text())
+    code = main(["ingest", str(dataset / "a" / "r1.txt"), str(dataset / "b" / "r1.txt"),
+                 "--sidecar", str(dataset / "labels.csv")])
+    assert code == 2
+    assert "duplicate record id 'r1'" in capsys.readouterr().err
+    short = dataset / "short.csv"
+    short.write_text("r1,0,1440,steady\nr2,0,700,erratic\n")
+    code = main(["ingest", str(dataset / "r1.txt"), str(dataset / "r2.txt"),
+                 "--sidecar", str(short)])
+    assert code == 2
+    assert "'erratic' ended up empty" in capsys.readouterr().err
 
 
 def test_run_end_to_end(dataset, capsys):
@@ -198,6 +231,18 @@ def test_run_flag_overrides_config(dataset, capsys):
     assert main(["run", "--config", str(conf), "--segment-length", "720",
                  "--grid", str(dataset / "grid.txt")]) == 0
     capsys.readouterr()
+
+
+def test_run_unknown_config_key_is_usage_error(dataset, capsys):
+    conf = dataset / "run.conf"
+    conf.write_text(
+        f"records = {dataset / 'r1.txt'} {dataset / 'r2.txt'}\n"
+        f"sidecar = {dataset / 'labels.csv'}\n"
+        f"grid = {dataset / 'grid.txt'}\n"
+        "segment_lenght = 100\n"
+    )
+    assert main(["run", "--config", str(conf)]) == 1
+    assert "row 4: unknown key 'segment_lenght'" in capsys.readouterr().err
 
 
 def test_run_bad_grid_is_usage_error(dataset, capsys):
@@ -260,6 +305,22 @@ def test_pairs_table(dataset, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "steady vs erratic" in out
+
+
+def test_pairs_out_from_config_file(dataset, capsys):
+    out = dataset / "pairs_out"
+    conf = dataset / "pairs.conf"
+    conf.write_text(
+        f"records = {dataset / 'r1.txt'}, {dataset / 'r2.txt'}\n"
+        f"sidecar = {dataset / 'labels.csv'}\n"
+        f"grid = {dataset / 'grid.txt'}\n"
+        f"out = {out}\n"
+    )
+    assert main(["pairs", "--config", str(conf)]) == 0
+    printed = capsys.readouterr().out
+    assert "steady vs erratic" in printed
+    assert (out / "pairs.txt").read_text() == printed
+    assert sorted(p.name for p in out.iterdir()) == ["pairs.txt"]
 
 
 def test_pairs_malformed_pair_is_usage_error(dataset, capsys):

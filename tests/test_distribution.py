@@ -98,6 +98,7 @@ def test_overlap_matches_loop_oracle(ds, mode):
     expected = overlap_counts({k: v.tolist() for k, v in ds.classes.items()}, mode)
     for name in ds.names:
         assert class_overlap(ds, name, mode) == expected[name]
+    assert evaluate_distribution(ds, mode).class_overlaps == tuple(expected[n] for n in ds.names)
 
 
 @given(datasets())

@@ -203,7 +203,7 @@ def test_run_rejects_segment_length_below_validity_bound(record_setup):
 def test_run_pipeline_conservation(record_setup):
     result = run_experiment(base_config(record_setup))
     for entry in result.entries:
-        assert entry.dataset.sizes == (3, 3)
+        assert entry.report.class_sizes == (3, 3)
         labels = [label for label, _, _ in entry.rows]
         assert labels.count("steady") == 3 and labels.count("erratic") == 3
 
@@ -298,7 +298,7 @@ def entry_from_dataset(label: str, ds: LabeledFeatureSet) -> EncoderRun:
     rows = [
         (name, float(p[0]), float(p[1])) for name in ds.names for p in ds.classes[name]
     ]
-    return EncoderRun(label, None, rows, ds, evaluate_distribution(ds))
+    return EncoderRun(label, None, rows, evaluate_distribution(ds))
 
 
 def test_pairwise_prefers_separated_entry():
