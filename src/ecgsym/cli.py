@@ -29,7 +29,7 @@ from .filtering import (
     make_highpass,
     make_lowpass,
 )
-from .records import read_text_signal
+from .records import read_label_sidecar, read_text_signal
 
 
 class UsageError(Exception):
@@ -44,11 +44,11 @@ class _Parser(argparse.ArgumentParser):
 _FILTER_KINDS = {"bandpass": make_bandpass, "lowpass": make_lowpass, "highpass": make_highpass}
 
 
-def _add_text_signal_flags(p):
-    p.add_argument("--column", type=int, default=0, help="text column holding the samples")
+def _add_text_signal_flags(p, column=0, sample_rate=360.0):
+    p.add_argument("--column", type=int, default=column, help="text column holding the samples")
     p.add_argument("--delimiter", default=None, help="column delimiter (default: whitespace)")
     p.add_argument("--skip-header", action="store_true", help="skip the first row")
-    p.add_argument("--sample-rate", type=float, default=360.0)
+    p.add_argument("--sample-rate", type=float, default=sample_rate)
 
 
 def _read_signal(args) -> Signal:
@@ -61,28 +61,32 @@ def _read_signal(args) -> Signal:
     )
 
 
-def _add_run_flags(p):
-    """The flags of run and pairs; their dests are also the config-file keys."""
+def _add_record_flags(p):
+    """The record and signal flags of ingest, run and pairs."""
     p.add_argument("records", nargs="*", default=[])
-    p.add_argument("--config", default=None, help="flat key = value configuration file")
-    p.add_argument("--features", nargs="+", default=None, help="precomputed feature CSVs")
-    p.add_argument("--sidecar", default=None)
+    p.add_argument("--sidecar", default=None, help="label file: record_id,start,end,label")
     p.add_argument("--format", choices=("text", "212"), default=None)
     p.add_argument("--channel", type=int, default=None)
     p.add_argument("--signal-count", type=int, default=None)
-    p.add_argument("--column", type=int, default=None)
-    p.add_argument("--delimiter", default=None)
-    p.add_argument("--skip-header", action="store_true")
-    p.add_argument("--sample-rate", type=float, default=None)
+    # None defaults: absent flags take the config file's or ExperimentConfig's values
+    _add_text_signal_flags(p, column=None, sample_rate=None)
     p.add_argument("--segment-length", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--out", default=None, help="output directory")
+    return p
+
+
+def _add_run_flags(p):
+    """The flags of run and pairs; their dests are also the config-file keys."""
+    _add_record_flags(p)
+    p.add_argument("--config", default=None, help="flat key = value configuration file")
+    p.add_argument("--features", nargs="+", default=None, help="precomputed feature CSVs")
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--pad-before", type=int, default=None)
     p.add_argument("--pad-after", type=int, default=None)
     p.add_argument("--grid", default=None, help="encoder grid file")
     p.add_argument("--zero-tol", type=float, default=None)
     p.add_argument("--mode", choices=("forall", "exists"), default=None)
-    p.add_argument("--out", default=None)
     return p
 
 
@@ -91,16 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="read records, attach labels, report segment counts")
-    p.add_argument("records", nargs="+")
-    p.add_argument("--sidecar", required=True, help="label file: record_id,start,end,label")
-    p.add_argument("--format", choices=("text", "212"), default="text")
-    p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--signal-count", type=int, default=2)
-    p.add_argument("--segment-length", type=int, default=720)
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--out", default=None, help="directory for the segment manifest")
-    _add_text_signal_flags(p)
-    p.set_defaults(func=cmd_ingest)
+    _add_record_flags(p).set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("filter", help="compensated filtering of a text signal")
     p.add_argument("input", nargs="?", default=None)
@@ -210,19 +205,10 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def _encoder_from_flags(method: str, alphabet: int, deviation: str | None) -> EncoderSpec:
-    if method == "threshold":
-        if deviation is None:
-            raise UsageError("threshold encoding requires --deviation")
-        return EncoderSpec(method, alphabet, exp.parse_fraction(deviation))
-    if deviation is not None:
-        raise UsageError("slope encoding takes no --deviation")
-    return EncoderSpec(method, alphabet)
-
-
 def cmd_encode(args) -> int:
     try:
-        spec = _encoder_from_flags(args.method, args.alphabet, args.deviation)
+        deviation = None if args.deviation is None else exp.parse_fraction(args.deviation)
+        spec = EncoderSpec(args.method, args.alphabet, deviation)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     seq = encode(_read_signal(args), spec, args.zero_tol)
@@ -299,42 +285,42 @@ def _config_from_args(args) -> exp.ExperimentConfig:
     The file's keys are the run/pairs flag dests, except ``features``, and
     each value is cast like its flag's argument; ``filter`` stands for the
     inverse of ``no_filter``. A flag that differs from its default
-    overrides the file.
+    overrides the file. Any error in the flags or the file is a usage error.
     """
     flags = {a.dest: a for a in _add_run_flags(_Parser(add_help=False))._actions}
     del flags["config"]
-    values = {}
-    if getattr(args, "config", None):  # ingest has no --config
-        keys = set(flags) - {"features", "no_filter"} | {"filter"}
-        for key, text in exp.load_config_file(args.config, keys).items():
-            if key == "filter":
-                values["no_filter"] = not _bool_from_text(text)
-            elif flags[key].nargs == 0:
-                values[key] = _bool_from_text(text)
-            elif flags[key].nargs == "*":
-                values[key] = text.replace(",", " ").split()
-            else:
-                values[key] = (flags[key].type or str)(text)
-    values.update(
-        (dest, value)
-        for dest, value in vars(args).items()
-        if dest in flags and value != flags[dest].default
-    )
-    if "grid" in values:
-        values["grid"] = exp.parse_grid_file(values["grid"])
-    fields = {
-        _CONFIG_FIELDS.get(dest, dest): tuple(value) if isinstance(value, list) else value
-        for dest, value in values.items()
-    }
-    fields["apply_filtering"] = not fields.pop("no_filter", False)
-    return exp.ExperimentConfig(**fields)
+    try:
+        values = {}
+        if getattr(args, "config", None):  # ingest has no --config
+            keys = set(flags) - {"features", "no_filter"} | {"filter"}
+            for key, text in exp.load_config_file(args.config, keys).items():
+                if key == "filter":
+                    values["no_filter"] = not _bool_from_text(text)
+                elif flags[key].nargs == 0:
+                    values[key] = _bool_from_text(text)
+                elif flags[key].nargs == "*":
+                    values[key] = text.replace(",", " ").split()
+                else:
+                    values[key] = (flags[key].type or str)(text)
+        values.update(
+            (dest, value)
+            for dest, value in vars(args).items()
+            if dest in flags and value != flags[dest].default
+        )
+        if "grid" in values:
+            values["grid"] = exp.parse_grid_file(values["grid"])
+        fields = {
+            _CONFIG_FIELDS.get(dest, dest): tuple(value) if isinstance(value, list) else value
+            for dest, value in values.items()
+        }
+        fields["apply_filtering"] = not fields.pop("no_filter", False)
+        return exp.ExperimentConfig(**fields)
+    except (ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from None
+    config = _config_from_args(args)
     result = exp.run_experiment(config)
     print(f"{'rank':<5} {'encoder':<28} {'overlap_per_element':>20}")
     for rank, idx in enumerate(result.ranking, start=1):
@@ -345,23 +331,31 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_pair_names(pairs, names) -> None:
+    unknown = sorted({name for pair in pairs for name in pair} - set(names))
+    if unknown:
+        raise UsageError(f"unknown class name(s) in --pairs: {', '.join(unknown)}")
+
+
 def cmd_pairs(args) -> int:
-    try:
-        config = _config_from_args(args)
-        pairs = None
-        if args.pairs:
-            pairs = []
-            for item in args.pairs.split(","):
-                first, sep, second = item.partition(":")
-                if not sep:
-                    raise UsageError(f"pair {item!r} must be written first:second")
-                pairs.append((first.strip(), second.strip()))
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from None
+    config = _config_from_args(args)
+    pairs = None
+    if args.pairs:
+        pairs = []
+        for item in args.pairs.split(","):
+            first, sep, second = item.partition(":")
+            if not sep:
+                raise UsageError(f"pair {item!r} must be written first:second")
+            pairs.append((first.strip(), second.strip()))
+    if pairs is not None and config.record_paths:
+        # the sidecar's labels are exactly the classes, since ingestion
+        # rejects a sidecar class that ends up empty
+        _check_pair_names(pairs, {span.label for span in read_label_sidecar(config.sidecar)})
     result = exp.run_experiment(dataclasses.replace(config, out_dir=None))
+    names = list(result.class_counts)
     if pairs is None:
-        names = list(result.class_counts)
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    _check_pair_names(pairs, names)
     table = exp.pairwise_table(result, pairs, config.mode)
     text = exp.pair_table_text(table)
     if config.out_dir:

@@ -59,28 +59,25 @@ def default_encoder_grid() -> list[EncoderSpec]:
 
 def parse_fraction(text: str) -> float:
     """Parse '1/12', '-0.05' or '3' into a float."""
-    return float(Fraction(text))
+    try:
+        return float(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_encoder_line(line: str) -> EncoderSpec:
     """Parse a grid line: 'slope binary' or 'threshold ternary 1/12'."""
     tokens = line.split()
-    if len(tokens) < 2:
-        raise ValueError(f"grid line needs method and alphabet: {line!r}")
-    method = tokens[0].lower()
-    alpha_word = tokens[1].lower()
-    alphabet = {"binary": 2, "2": 2, "ternary": 3, "3": 3}.get(alpha_word)
+    if not 2 <= len(tokens) <= 3:
+        raise ValueError(f"grid line needs method, alphabet and optional deviation: {line!r}")
+    alphabet = {"binary": 2, "2": 2, "ternary": 3, "3": 3}.get(tokens[1].lower())
     if alphabet is None:
         raise ValueError(f"unknown alphabet {tokens[1]!r} in grid line {line!r}")
-    if method == SLOPE:
-        if len(tokens) != 2:
-            raise ValueError(f"slope entries take no deviation: {line!r}")
-        return EncoderSpec(SLOPE, alphabet)
-    if method == THRESHOLD:
-        if len(tokens) != 3:
-            raise ValueError(f"threshold entries need a deviation: {line!r}")
-        return EncoderSpec(THRESHOLD, alphabet, parse_fraction(tokens[2]))
-    raise ValueError(f"unknown method {tokens[0]!r} in grid line {line!r}")
+    try:
+        deviation = parse_fraction(tokens[2]) if len(tokens) == 3 else None
+        return EncoderSpec(tokens[0].lower(), alphabet, deviation)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in grid line {line!r}") from None
 
 
 def parse_grid_file(path) -> list[EncoderSpec]:
@@ -98,9 +95,11 @@ def parse_grid_file(path) -> list[EncoderSpec]:
 def load_config_file(path, keys=None) -> dict[str, str]:
     """Read a flat 'key = value' configuration file.
 
-    With ``keys`` given, a key outside it raises with its row number.
+    With ``keys`` given, a key outside it raises with its row number; a
+    repeated key raises with both row numbers.
     """
     values: dict[str, str] = {}
+    rows: dict[str, int] = {}
     with open(path) as fh:
         for row_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -112,6 +111,9 @@ def load_config_file(path, keys=None) -> dict[str, str]:
             key = key.strip()
             if keys is not None and key not in keys:
                 raise ValueError(f"{path}: row {row_no}: unknown key {key!r}")
+            if key in rows:
+                raise ValueError(f"{path}: row {row_no}: key {key!r} repeats row {rows[key]}")
+            rows[key] = row_no
             values[key] = value.strip()
     return values
 
@@ -168,7 +170,6 @@ class EncoderRun:
     and the report."""
 
     label: str
-    spec: EncoderSpec | None
     rows: list[tuple[str, float, float]]
     report: DistributionReport
 
@@ -304,7 +305,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             labels, points = load_features_csv(path, config.skip_header)
             rows += [(label, h, c) for label, (h, c) in zip(labels, points)]
         report = evaluate_distribution(_feature_set(rows), config.mode)
-        entries = [EncoderRun("precomputed", None, rows, report)]
+        entries = [EncoderRun("precomputed", rows, report)]
         skipped = dropped = 0
     else:
         _check_grid_lengths(config)
@@ -324,7 +325,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 fv = extract_features(encode(signal, spec, config.zero_tol))
                 rows.append((label, fv.h_norm, fv.c_norm))
             report = evaluate_distribution(_feature_set(rows), config.mode)
-            entries.append(EncoderRun(spec.label, spec, rows, report))
+            entries.append(EncoderRun(spec.label, rows, report))
     counts = dict(Counter(label for label, _, _ in entries[0].rows))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out_dir is not None:

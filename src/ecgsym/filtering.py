@@ -2,7 +2,7 @@
 
 Implements the integer-coefficient low-pass / high-pass pair used for
 QRS-band filtering at 360 Hz (and their cascade as a single band-pass),
-direct-form evaluation of the difference equation, numerical group and
+direct-form evaluation of the difference equation, analytic group and
 phase delay, and an edge-padding procedure that returns a filtered
 segment phase-aligned with and equal in length to its input.
 """
@@ -24,7 +24,7 @@ _PAD_MARGIN = 20
 
 @dataclass(eq=False)
 class Signal:
-    """A uniformly sampled real-valued waveform."""
+    """A uniformly sampled real-valued waveform; every sample must be finite."""
 
     samples: np.ndarray
     sample_rate: float = DEFAULT_SAMPLE_RATE
@@ -33,6 +33,9 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("signal samples must be one-dimensional")
+        bad = np.flatnonzero(~np.isfinite(self.samples))
+        if bad.size:
+            raise ValueError(f"signal sample {bad[0]} is not finite: {self.samples[bad[0]]!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -133,29 +136,34 @@ def frequency_response(coeffs: FilterCoefficients, omegas) -> np.ndarray:
     return num / den
 
 
-def _check_response_defined(coeffs: FilterCoefficients, omega: float) -> complex:
-    num = (np.exp(-1j * omega * np.arange(coeffs.numerator.size)) * coeffs.numerator).sum()
-    den = (np.exp(-1j * omega * np.arange(coeffs.denominator.size)) * coeffs.denominator).sum()
-    if abs(num) <= 1e-12 * np.abs(coeffs.numerator).sum():
-        raise ValueError(f"phase undefined at omega={omega}: transfer-function zero")
-    if abs(den) <= 1e-12 * np.abs(coeffs.denominator).sum():
-        raise ValueError(f"phase undefined at omega={omega}: transfer-function pole")
-    return num / den
+def _response_and_delay(coeffs: FilterCoefficients, omega: float) -> tuple[complex, float]:
+    """H and the analytic group delay Re(B'/B) - Re(A'/A) at omega in (0, pi).
 
-
-def group_delay(coeffs: FilterCoefficients, omega: float, step: float = 1e-4) -> float:
-    """Negative derivative of the unwrapped phase response, in samples.
-
-    Evaluated by a central difference of width ``step`` around ``omega``,
-    which must lie strictly inside (0, pi) and away from zeros of the
-    transfer function.
+    For the numerator B and the denominator A, P = sum c_n e^{-j omega n}
+    and P' = sum n c_n e^{-j omega n} are each taken once; a zero or pole
+    at ``omega`` raises, since the phase is undefined there.
     """
     if not 0.0 < omega < math.pi:
         raise ValueError("omega must lie strictly between 0 and pi")
-    _check_response_defined(coeffs, omega)
-    h = frequency_response(coeffs, [omega - step, omega + step])
-    phase = np.unwrap(np.angle(h))
-    return float(-(phase[1] - phase[0]) / (2.0 * step))
+    parts = []
+    for c, kind in ((coeffs.numerator, "zero"), (coeffs.denominator, "pole")):
+        n = np.arange(c.size)
+        terms = np.exp(-1j * omega * n) * c
+        total = terms.sum()
+        if abs(total) <= 1e-12 * np.abs(c).sum():
+            raise ValueError(f"phase undefined at omega={omega}: transfer-function {kind}")
+        parts.append((total, ((n * terms).sum() / total).real))
+    (num, tau_num), (den, tau_den) = parts
+    return num / den, float(tau_num - tau_den)
+
+
+def group_delay(coeffs: FilterCoefficients, omega: float) -> float:
+    """Negative derivative of the unwrapped phase response, in samples.
+
+    ``omega`` must lie strictly inside (0, pi) and away from zeros and
+    poles of the transfer function.
+    """
+    return _response_and_delay(coeffs, omega)[1]
 
 
 def alignment_delay(coeffs: FilterCoefficients, omega: float) -> float:
@@ -167,8 +175,7 @@ def alignment_delay(coeffs: FilterCoefficients, omega: float) -> float:
     phase the two delays differ, and waveform alignment follows this
     quantity rather than the group delay.
     """
-    tau_g = group_delay(coeffs, omega)
-    h = _check_response_defined(coeffs, omega)
+    h, tau_g = _response_and_delay(coeffs, omega)
     d = -np.angle(h) / omega
     period = 2.0 * math.pi / omega
     return float(d + round((tau_g - d) / period) * period)

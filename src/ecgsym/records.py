@@ -30,8 +30,6 @@ class RecordHeader:
 
     signal_count: int = 2
     sample_rate: float = DEFAULT_SAMPLE_RATE
-    gain: float = DEFAULT_GAIN
-    baseline: float = 0.0
     samples_per_signal: int | None = None
 
     def __post_init__(self):
@@ -39,8 +37,6 @@ class RecordHeader:
             raise ValueError("signal_count must be at least 1")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
         if self.samples_per_signal is not None and self.samples_per_signal < 1:
             raise ValueError("samples_per_signal must be positive")
 

@@ -135,6 +135,14 @@ def test_encode_threshold_without_deviation_is_usage_error(tmp_path):
     assert code == 1
 
 
+def test_encode_zero_denominator_deviation_is_usage_error(tmp_path, capsys):
+    write_signal(tmp_path / "sig.txt", [0.0, 1.0, 2.0])
+    code = main(["encode", str(tmp_path / "sig.txt"), "--method", "threshold",
+                 "--alphabet", "2", "--deviation", "1/0"])
+    assert code == 1
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_encode_non_finite_sample_is_data_error(tmp_path, capsys, bad):
     (tmp_path / "sig.txt").write_text(f"1.0\n2.0\n{bad}\n3.0\n")
@@ -173,6 +181,13 @@ def test_ingest_counts_and_manifest(dataset, capsys):
     manifest = (out / "segments.csv").read_text().strip().splitlines()
     assert manifest[0] == "record_id,start,label"
     assert len(manifest) == 5
+
+
+def test_ingest_without_records_or_sidecar_is_usage_error(dataset, capsys):
+    assert main(["ingest", "--sidecar", str(dataset / "labels.csv")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["ingest", str(dataset / "r1.txt"), str(dataset / "r2.txt")]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_ingest_rejects_duplicate_record_ids_and_empty_classes(dataset, capsys):
@@ -243,6 +258,19 @@ def test_run_unknown_config_key_is_usage_error(dataset, capsys):
     )
     assert main(["run", "--config", str(conf)]) == 1
     assert "row 4: unknown key 'segment_lenght'" in capsys.readouterr().err
+
+
+def test_run_repeated_config_key_is_usage_error(dataset, capsys):
+    conf = dataset / "run.conf"
+    conf.write_text(
+        f"records = {dataset / 'r1.txt'} {dataset / 'r2.txt'}\n"
+        f"sidecar = {dataset / 'labels.csv'}\n"
+        f"grid = {dataset / 'grid.txt'}\n"
+        "mode = forall\n"
+        "mode = exists\n"
+    )
+    assert main(["run", "--config", str(conf)]) == 1
+    assert "row 5: key 'mode' repeats row 4" in capsys.readouterr().err
 
 
 def test_run_bad_grid_is_usage_error(dataset, capsys):
@@ -321,6 +349,40 @@ def test_pairs_out_from_config_file(dataset, capsys):
     assert "steady vs erratic" in printed
     assert (out / "pairs.txt").read_text() == printed
     assert sorted(p.name for p in out.iterdir()) == ["pairs.txt"]
+
+
+def test_pairs_unknown_name_is_usage_error_before_any_work(dataset, capsys, monkeypatch):
+    import ecgsym.experiment as exp
+
+    def fail(config):
+        raise AssertionError("run_experiment called before --pairs was checked")
+
+    monkeypatch.setattr(exp, "run_experiment", fail)
+    code = main(
+        ["pairs", str(dataset / "r1.txt"), str(dataset / "r2.txt"),
+         "--sidecar", str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"),
+         "--pairs", "steady:eratic"]
+    )
+    assert code == 1
+    assert "unknown class name(s) in --pairs: eratic" in capsys.readouterr().err
+
+
+def test_pairs_unknown_name_in_feature_files_is_usage_error(dataset, capsys):
+    features = dataset / "features.csv"
+    features.write_text("a,0.1,0.2\na,0.2,0.3\nb,0.8,0.9\nb,0.9,0.8\n")
+    code = main(["pairs", "--features", str(features), "--pairs", "a:c"])
+    assert code == 1
+    assert "unknown class name(s) in --pairs: c" in capsys.readouterr().err
+
+
+def test_pairs_malformed_sidecar_stays_data_error(dataset, capsys):
+    bad = dataset / "bad_labels.csv"
+    bad.write_text("r1,0,1440\n")
+    code = main(
+        ["pairs", str(dataset / "r1.txt"), "--sidecar", str(bad), "--pairs", "steady:erratic"]
+    )
+    assert code == 2
+    assert "row 1 needs 4 fields" in capsys.readouterr().err
 
 
 def test_pairs_malformed_pair_is_usage_error(dataset, capsys):

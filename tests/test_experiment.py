@@ -298,7 +298,7 @@ def entry_from_dataset(label: str, ds: LabeledFeatureSet) -> EncoderRun:
     rows = [
         (name, float(p[0]), float(p[1])) for name in ds.names for p in ds.classes[name]
     ]
-    return EncoderRun(label, None, rows, evaluate_distribution(ds))
+    return EncoderRun(label, rows, evaluate_distribution(ds))
 
 
 def test_pairwise_prefers_separated_entry():

@@ -85,8 +85,6 @@ def test_record_header_validation():
     with pytest.raises(ValueError):
         RecordHeader(sample_rate=-1)
     with pytest.raises(ValueError):
-        RecordHeader(gain=0)
-    with pytest.raises(ValueError):
         RecordHeader(samples_per_signal=0)
 
 
