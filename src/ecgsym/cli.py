@@ -346,7 +346,10 @@ def cmd_pairs(args) -> int:
             first, sep, second = item.partition(":")
             if not sep:
                 raise UsageError(f"pair {item!r} must be written first:second")
-            pairs.append((first.strip(), second.strip()))
+            first, second = first.strip(), second.strip()
+            if first == second:
+                raise UsageError(f"pair {item!r} names one class twice")
+            pairs.append((first, second))
     if pairs is not None and config.record_paths:
         # the sidecar's labels are exactly the classes, since ingestion
         # rejects a sidecar class that ends up empty

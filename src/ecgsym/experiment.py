@@ -158,8 +158,22 @@ class ExperimentConfig:
                 raise ValueError("record input requires a label sidecar")
             if not self.encoders:
                 raise ValueError("encoder grid is empty")
+            if self.record_format == "text" and self.channel != 0:
+                raise ValueError(f"text records have one channel (0), not {self.channel}")
         if self.record_format not in ("text", "212"):
             raise ValueError("record_format must be 'text' or '212'")
+        if self.channel < 0:
+            raise ValueError("channel must be non-negative")
+        if self.signal_count < 1:
+            raise ValueError("signal_count must be at least 1")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        if self.segment_length < 1:
+            raise ValueError("segment length must be at least 1")
+        if self.stride is not None and self.stride < 1:
+            raise ValueError("stride must be at least 1")
+        if self.pad_lead < 0 or self.pad_trail < 0:
+            raise ValueError("pad lengths must be non-negative")
         if self.mode not in ("forall", "exists"):
             raise ValueError("mode must be 'forall' or 'exists'")
 

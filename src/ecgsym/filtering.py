@@ -2,15 +2,25 @@
 
 Implements the integer-coefficient low-pass / high-pass pair used for
 QRS-band filtering at 360 Hz (and their cascade as a single band-pass),
-direct-form evaluation of the difference equation, analytic group and
-phase delay, and an edge-padding procedure that returns a filtered
-segment phase-aligned with and equal in length to its input.
+analytic group and phase delay, and an edge-padding procedure that
+returns a filtered segment phase-aligned with and equal in length to its
+input.
+
+Each stock denominator is a power of (1 - z^-1) that cancels exactly
+against numerator zeros at z = 1, so every stock filter is a pure FIR
+with integer taps and one integer divisor (the band-pass: 42 taps over
+1152). Filtering is then one convolution and one division, and an
+integer-valued input gives each output as the correctly rounded K/divisor
+for an integer K. Only a denominator that does not cancel, which a
+library caller may supply, runs the direct-form feedback recursion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,69 +53,117 @@ class Signal:
         return self.samples.size
 
 
+def _cancel_unit_poles(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide (1 - z^-1) out of both polynomials for as long as both divide exactly.
+
+    The division runs in exact rationals: a step is taken only when both
+    coefficient sums are exactly zero (no remainder) and every quotient
+    coefficient is a float.
+    """
+    b, a = [Fraction(v) for v in num], [Fraction(v) for v in den]
+    while len(b) > 1 and len(a) > 1 and sum(b) == 0 and sum(a) == 0:
+        qb, qa = list(accumulate(b[:-1])), list(accumulate(a[:-1]))
+        if any(float(q) != q for q in qb + qa):
+            break
+        b, a = qb, qa
+    return np.array([float(v) for v in b]), np.array([float(v) for v in a])
+
+
 @dataclass(eq=False)
 class FilterCoefficients:
     """Rational transfer-function coefficients.
 
     The denominator is normalized on construction so its leading
-    coefficient is 1; the numerator is rescaled accordingly.
+    coefficient is 1; the numerator is rescaled accordingly. Common
+    (1 - z^-1) factors are also cancelled, where the division is exact.
+    The filter then runs as ``taps`` (the reduced numerator at the given
+    scale) over ``divisor`` (the leading denominator coefficient), followed
+    by the recursion on ``feedback``, the reduced normalized denominator.
+    ``feedback`` is ``[1.0]`` for every stock filter, which is then a pure
+    FIR.
     """
 
     numerator: np.ndarray
     denominator: np.ndarray
+    taps: np.ndarray = field(init=False, repr=False)
+    divisor: float = field(init=False, repr=False)
+    feedback: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         num = np.asarray(self.numerator, dtype=float)
         den = np.asarray(self.denominator, dtype=float)
         if num.size == 0 or den.size == 0:
             raise ValueError("numerator and denominator must be non-empty")
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError("filter coefficients must be finite")
         if den[0] == 0:
             raise ValueError("leading denominator coefficient must be nonzero")
         self.numerator = num / den[0]
         self.denominator = den / den[0]
+        self.taps, rest = _cancel_unit_poles(num, den)
+        self.divisor = float(den[0])
+        self.feedback = rest / den[0]
 
     @property
     def order(self) -> int:
         return max(self.numerator.size, self.denominator.size) - 1
 
 
-def make_lowpass() -> FilterCoefficients:
-    """Low-pass stage: (1 - 2z^-6 + z^-12) / (36 - 72z^-1 + 36z^-2)."""
+def _lowpass_polynomials() -> tuple[np.ndarray, np.ndarray]:
     num = np.zeros(13)
     num[0], num[6], num[12] = 1.0, -2.0, 1.0
-    return FilterCoefficients(num, np.array([36.0, -72.0, 36.0]))
+    return num, np.array([36.0, -72.0, 36.0])
+
+
+def _highpass_polynomials() -> tuple[np.ndarray, np.ndarray]:
+    num = np.zeros(33)
+    num[0], num[16], num[17], num[32] = -1.0, 32.0, -32.0, 1.0
+    return num, np.array([32.0, -32.0])
+
+
+def make_lowpass() -> FilterCoefficients:
+    """Low-pass stage: (1 - 2z^-6 + z^-12) / (36 - 72z^-1 + 36z^-2).
+
+    Cancelled, this is (1 + z^-1 + ... + z^-5)^2 / 36: 11 taps over 36.
+    """
+    return FilterCoefficients(*_lowpass_polynomials())
 
 
 def make_highpass() -> FilterCoefficients:
-    """High-pass stage: (-1 + 32z^-16 - 32z^-17 + z^-32) / (32 - 32z^-1)."""
-    num = np.zeros(33)
-    num[0], num[16], num[17], num[32] = -1.0, 32.0, -32.0, 1.0
-    return FilterCoefficients(num, np.array([32.0, -32.0]))
+    """High-pass stage: (-1 + 32z^-16 - 32z^-17 + z^-32) / (32 - 32z^-1).
+
+    Cancelled, this is 32 taps over 32.
+    """
+    return FilterCoefficients(*_highpass_polynomials())
 
 
 def make_bandpass() -> FilterCoefficients:
     """Cascade of the low-pass and high-pass stages as one rational form.
 
     Numerator is the degree-44 product of the stage numerators scaled by
-    1/1152; denominator is (1 - z^-1)^3.
+    1/1152; denominator is (1 - z^-1)^3. All three poles at z = 1 cancel,
+    leaving a pure FIR of 42 integer taps over 1152 whose taps sum to 0
+    (sum of absolute taps 1,528).
     """
-    low = make_lowpass()
-    high = make_highpass()
-    num = np.convolve(low.numerator * 36.0, high.numerator * 32.0)
-    den = 1152.0 * np.array([1.0, -3.0, 3.0, -1.0])
-    return FilterCoefficients(num, den)
+    (b_low, a_low), (b_high, a_high) = _lowpass_polynomials(), _highpass_polynomials()
+    return FilterCoefficients(np.convolve(b_low, b_high), np.convolve(a_low, a_high))
 
 
 def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
-    """Run the direct-form difference equation over a signal.
+    """Filter a signal: one convolution with the taps, one division.
 
     Sample references before the start of the segment read as zero, so
-    the output has exactly the length of the input.
+    the output has exactly the length of the input. For a stock filter
+    (pure FIR after cancellation) with integer-valued input and
+    max|x| * sum|taps| < 2**53, every partial sum is an exact integer K,
+    so each output is the correctly rounded K / divisor. Only when
+    ``coeffs.feedback`` has more than one coefficient does the per-sample
+    direct-form feedback recursion run.
 
     Parameters
     ----------
     coeffs : FilterCoefficients
-        Normalized numerator/denominator of the filter.
+        Filter, already reduced to taps, divisor and feedback.
     signal : Signal
         Input segment; must be non-empty.
 
@@ -117,10 +175,11 @@ def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
-    y = np.convolve(x, coeffs.numerator)[: x.size]
-    a = coeffs.denominator
+    y = np.convolve(x, coeffs.taps)[: x.size] / coeffs.divisor
+    a = coeffs.feedback
     if a.size > 1:
-        # Feedback cannot be vectorized; denominators here are short.
+        # Feedback cannot be vectorized; it runs only for denominators
+        # that do not cancel, and those are short.
         n_fb = a.size - 1
         for n in range(y.size):
             for j in range(1, min(n, n_fb) + 1):
@@ -128,33 +187,47 @@ def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
     return Signal(y, signal.sample_rate)
 
 
+def _poly_sums(c: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = sum c_n e^{-j omega n} and P' = sum n c_n e^{-j omega n} at each omega.
+
+    Row sums rather than a matrix product: the complex BLAS call costs a
+    quarter megabyte of resident memory and is no faster at these sizes.
+    """
+    n = np.arange(c.size)
+    terms = np.exp(-1j * np.outer(omegas, n)) * c
+    return terms.sum(axis=1), (terms * n).sum(axis=1)
+
+
 def frequency_response(coeffs: FilterCoefficients, omegas) -> np.ndarray:
-    """Evaluate the transfer function at angular frequencies (rad/sample)."""
+    """Evaluate the transfer function at angular frequencies (rad/sample).
+
+    The cancelled form taps / (divisor * feedback) is evaluated, so no
+    cancelled zero/pole pair is summed in floating point.
+    """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    num = np.exp(-1j * np.outer(w, np.arange(coeffs.numerator.size))) @ coeffs.numerator
-    den = np.exp(-1j * np.outer(w, np.arange(coeffs.denominator.size))) @ coeffs.denominator
-    return num / den
+    num, _ = _poly_sums(coeffs.taps, w)
+    den, _ = _poly_sums(coeffs.feedback, w)
+    return num / (coeffs.divisor * den)
 
 
 def _response_and_delay(coeffs: FilterCoefficients, omega: float) -> tuple[complex, float]:
     """H and the analytic group delay Re(B'/B) - Re(A'/A) at omega in (0, pi).
 
-    For the numerator B and the denominator A, P = sum c_n e^{-j omega n}
-    and P' = sum n c_n e^{-j omega n} are each taken once; a zero or pole
-    at ``omega`` raises, since the phase is undefined there.
+    B is the cancelled numerator (the taps) and A the remaining feedback
+    polynomial; the cancelled factors add the same delay to both and drop
+    out. A zero or pole at ``omega`` raises, since the phase is undefined
+    there.
     """
     if not 0.0 < omega < math.pi:
         raise ValueError("omega must lie strictly between 0 and pi")
     parts = []
-    for c, kind in ((coeffs.numerator, "zero"), (coeffs.denominator, "pole")):
-        n = np.arange(c.size)
-        terms = np.exp(-1j * omega * n) * c
-        total = terms.sum()
+    for c, kind in ((coeffs.taps, "zero"), (coeffs.feedback, "pole")):
+        total, slope = (v[0] for v in _poly_sums(c, np.array([omega])))
         if abs(total) <= 1e-12 * np.abs(c).sum():
             raise ValueError(f"phase undefined at omega={omega}: transfer-function {kind}")
-        parts.append((total, ((n * terms).sum() / total).real))
+        parts.append((total, (slope / total).real))
     (num, tau_num), (den, tau_den) = parts
-    return num / den, float(tau_num - tau_den)
+    return num / (coeffs.divisor * den), float(tau_num - tau_den)
 
 
 def group_delay(coeffs: FilterCoefficients, omega: float) -> float:

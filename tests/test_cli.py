@@ -367,6 +367,74 @@ def test_pairs_unknown_name_is_usage_error_before_any_work(dataset, capsys, monk
     assert "unknown class name(s) in --pairs: eratic" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the readers and run_experiment fail if called."""
+    import ecgsym.cli as cli
+    import ecgsym.experiment as exp
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the configuration was checked")
+
+    for module, name in (
+        (exp, "read_text_signal"),
+        (exp, "read_binary_record"),
+        (exp, "read_label_sidecar"),
+        (exp, "load_features_csv"),
+        (exp, "run_experiment"),
+        (cli, "read_label_sidecar"),
+    ):
+        monkeypatch.setattr(module, name, fail)
+
+
+_BAD_RECORD_FLAGS = [
+    (["--stride", "0"], "stride must be at least 1"),
+    (["--sample-rate", "0"], "sample_rate must be positive"),
+    (["--segment-length", "0"], "segment length must be at least 1"),
+    (["--channel", "5"], "text records have one channel (0), not 5"),
+    (["--format", "212", "--channel", "-1"], "channel must be non-negative"),
+    (["--format", "212", "--signal-count", "0"], "signal_count must be at least 1"),
+]
+_BAD_RUN_FLAGS = [
+    (["--pad-before", "-1"], "pad lengths must be non-negative"),
+    (["--pad-after", "-1"], "pad lengths must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        pytest.param(cmd, flags, message, id=" ".join([cmd, *flags]))
+        for cmd, cases in (
+            ("ingest", _BAD_RECORD_FLAGS),
+            ("run", _BAD_RECORD_FLAGS + _BAD_RUN_FLAGS),
+            ("pairs", _BAD_RECORD_FLAGS + _BAD_RUN_FLAGS),
+        )
+        for flags, message in cases
+    ],
+)
+def test_bad_config_value_is_usage_error_before_any_work(
+    dataset, capsys, no_work, command, flags, message
+):
+    code = main(
+        [command, str(dataset / "r1.txt"), str(dataset / "r2.txt"),
+         "--sidecar", str(dataset / "labels.csv")] + flags
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("input_kind", ["records", "features"])
+def test_pairs_self_pair_is_usage_error_before_any_work(dataset, capsys, no_work, input_kind):
+    if input_kind == "records":
+        args = [str(dataset / "r1.txt"), "--sidecar", str(dataset / "labels.csv")]
+    else:
+        args = ["--features", str(dataset / "features.csv")]
+    code = main(["pairs", *args, "--pairs", "steady:erratic, steady:steady"])
+    assert code == 1
+    assert "pair ' steady:steady' names one class twice" in capsys.readouterr().err
+
+
 def test_pairs_unknown_name_in_feature_files_is_usage_error(dataset, capsys):
     features = dataset / "features.csv"
     features.write_text("a,0.1,0.2\na,0.2,0.3\nb,0.8,0.9\nb,0.9,0.8\n")

@@ -85,6 +85,46 @@ def test_coefficients_validation():
         FilterCoefficients(np.array([1.0]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "make, n_taps, divisor, abs_sum, tap_sum, cancelled",
+    [
+        (make_lowpass, 11, 36.0, 36, 36, 2),
+        (make_highpass, 32, 32.0, 62, 0, 1),
+        (make_bandpass, 42, 1152.0, 1528, 0, 3),
+    ],
+)
+def test_stock_filters_cancel_to_integer_fir(make, n_taps, divisor, abs_sum, tap_sum, cancelled):
+    c = make()
+    assert c.taps.size == n_taps and c.divisor == divisor
+    np.testing.assert_array_equal(c.feedback, [1.0])
+    np.testing.assert_array_equal(c.taps, np.round(c.taps))
+    assert np.abs(c.taps).sum() == abs_sum and c.taps.sum() == tap_sum
+    # taps * (1 - z^-1)^k over the divisor is the rational numerator again
+    restored = c.taps
+    for _ in range(cancelled):
+        restored = np.convolve(restored, [1.0, -1.0])
+    np.testing.assert_array_equal(restored / divisor, c.numerator)
+
+
+def test_cancellation_only_where_exact():
+    # (1 - z^-1) is no factor of 1 - 0.9 z^-1: nothing cancels
+    c = FilterCoefficients([1.0, -1.0], [1.0, -0.9])
+    np.testing.assert_array_equal(c.taps, [1.0, -1.0])
+    np.testing.assert_array_equal(c.feedback, [1.0, -0.9])
+    # the sum is exactly 0, but the quotient 2^60 + 1 has no float
+    big = 2.0**60
+    c = FilterCoefficients([big, 1.0, -1.0, -big], [1.0, -1.0])
+    np.testing.assert_array_equal(c.taps, [big, 1.0, -1.0, -big])
+    np.testing.assert_array_equal(c.feedback, [1.0, -1.0])
+
+
+def test_non_finite_coefficients_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        FilterCoefficients([1.0, math.nan], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        FilterCoefficients([1.0], [1.0, math.inf])
+
+
 # --- direct-form filtering ----------------------------------------------------
 
 def test_identity_filter_passthrough():
@@ -126,6 +166,31 @@ def test_matches_scipy_lfilter():
     mine = apply_filter(bp, Signal(x, FS)).samples
     ref = sp.lfilter(bp.numerator, bp.denominator, x)
     np.testing.assert_allclose(mine, ref, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "b, a",
+    [
+        ([0.5, 0.25], [1.0, -0.5]),
+        # (1 - z^-1) cancels once, the pole at 0.5 stays
+        ([1.0, 0.0, -1.0], [1.0, -1.5, 0.5]),
+    ],
+)
+def test_recursive_fallback_matches_scipy_lfilter(b, a):
+    c = FilterCoefficients(b, a)
+    assert c.feedback.size == 2
+    x = np.random.default_rng(8).standard_normal(400)
+    mine = apply_filter(c, Signal(x, FS)).samples
+    np.testing.assert_allclose(mine, sp.lfilter(b, a, x), atol=1e-12)
+
+
+def test_integer_record_filters_exactly():
+    # every output is the correctly rounded K/1152 of the integer convolution
+    x = np.random.default_rng(9).integers(-2048, 2048, 200_000)
+    bp = make_bandpass()
+    mine = apply_filter(bp, Signal(x.astype(float), FS)).samples
+    ref = np.convolve(x, bp.taps.astype(np.int64))[: x.size] / 1152
+    np.testing.assert_array_equal(mine, ref)
 
 
 def test_empty_signal_rejected():
@@ -248,6 +313,20 @@ def test_compensated_constant_is_zeroed():
     assert np.abs(out.samples).max() < 1e-9
 
 
+@pytest.mark.parametrize("level", [-2048.0, -1.0, 0.0, 7.0, 2047.0])
+def test_compensated_constant_212_input_is_exactly_zero(level):
+    out = filter_compensated(make_bandpass(), Signal(np.full(720, level), FS), PaddingPlan(65, 65))
+    np.testing.assert_array_equal(out.samples, np.zeros(720))
+
+
+def test_compensated_step_is_exactly_zero_on_flat_stretches():
+    # Output i sees inputs i-20 .. i+21 (42 taps, shift 21): only the 41
+    # outputs whose window straddles the step at 360 are non-zero.
+    x = np.where(np.arange(720) < 360, -300.0, 1200.0)
+    out = filter_compensated(make_bandpass(), Signal(x, FS), PaddingPlan(65, 65)).samples
+    np.testing.assert_array_equal(np.flatnonzero(out), np.arange(339, 380))
+
+
 def test_compensated_sinusoid_aligned_at_center():
     t = np.arange(720) / FS
     x = np.sin(2 * math.pi * 8.0 * t)
@@ -315,6 +394,14 @@ def test_frequency_response_magnitudes():
     h = frequency_response(bp, [omega(0.5), omega(8.0), omega(60.0)])
     assert abs(h[0]) < 0.1 < abs(h[1])
     assert abs(h[2]) < 1e-12  # stage zeros at 60 Hz
+
+
+def test_frequency_response_near_dc_matches_stage_product():
+    # The rational band-pass form sums a triple zero against a triple pole
+    # near DC; the cancelled form keeps full precision there.
+    w = [omega(f) for f in (0.001, 0.01, 0.5, 8.0, 100.0)]
+    stages = frequency_response(make_lowpass(), w) * frequency_response(make_highpass(), w)
+    np.testing.assert_allclose(frequency_response(make_bandpass(), w), stages, rtol=1e-9)
 
 
 def test_signal_validation():
