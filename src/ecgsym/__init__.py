@@ -7,7 +7,6 @@ from .distribution import (
     DistributionReport,
     LabeledFeatureSet,
     centroid,
-    class_overlap,
     evaluate_distribution,
     report_from_counts,
 )
@@ -44,7 +43,7 @@ from .filtering import (
     Signal,
     alignment_delay,
     apply_filter,
-    default_padding,
+    compensation_plan,
     filter_compensated,
     frequency_response,
     group_delay,
@@ -56,9 +55,7 @@ from .records import (
     LabeledSegment,
     LabelSpan,
     RecordHeader,
-    adc_to_millivolts,
     load_labeled_segments,
-    millivolts_to_adc,
     pack_format212,
     parse_format212,
     read_binary_record,

@@ -23,6 +23,7 @@ from .features import extract_features, lz_complexity, shannon_entropy
 from .filtering import (
     PaddingPlan,
     Signal,
+    compensation_plan,
     filter_compensated,
     frequency_response,
     make_bandpass,
@@ -181,6 +182,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_filter(args) -> int:
     coeffs = _FILTER_KINDS[args.kind]()
+    try:
+        plan = PaddingPlan(args.pad_before, args.pad_after)
+        compensation_plan(coeffs, args.sample_rate, plan, args.center_hz)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.response:
         freqs = np.linspace(1e-3, args.sample_rate / 2 - 1e-3, args.response_points)
         h = frequency_response(coeffs, 2.0 * math.pi * freqs / args.sample_rate)
@@ -195,7 +201,6 @@ def cmd_filter(args) -> int:
     if args.input is None:
         raise UsageError("filter needs an input signal or --response")
     signal = _read_signal(args)
-    plan = PaddingPlan(args.pad_before, args.pad_after)
     out = filter_compensated(coeffs, signal, plan, args.center_hz)
     text = "\n".join(repr(float(v)) for v in out.samples) + "\n"
     if args.out:

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .features import FeatureVector
-
 MODES = ("forall", "exists")
 
 
@@ -45,8 +43,6 @@ class LabeledFeatureSet:
         """Group (label, point) rows, preserving first-appearance order."""
         grouped: dict[str, list] = {}
         for label, point in zip(labels, points):
-            if isinstance(point, FeatureVector):
-                point = (point.h_norm, point.c_norm)
             grouped.setdefault(str(label), []).append(point)
         return cls({name: np.array(rows, dtype=float) for name, rows in grouped.items()})
 
@@ -84,7 +80,12 @@ def _check_mode(mode: str) -> None:
 
 def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
     """Overlapped elements per class, all counted from one (N, m) table of
-    every element's distance to every class centroid."""
+    every element's distance to every class centroid.
+
+    In "forall" mode an element counts when its own-centroid distance is
+    >= its distance to every other centroid; in "exists" mode one other
+    centroid at most as far away suffices.
+    """
     _check_mode(mode)
     if len(dataset.classes) < 2:
         raise ValueError("need at least two classes")
@@ -102,19 +103,6 @@ def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
     else:
         hits = (cond & ~own).any(axis=1)
     return own[hits].sum(axis=0)
-
-
-def class_overlap(dataset: LabeledFeatureSet, name: str, mode: str = "forall") -> int:
-    """Number of elements of one class counting as overlapped.
-
-    In "forall" mode an element counts when its own-centroid distance is
-    >= its distance to every other centroid; in "exists" mode one other
-    centroid at most as far away suffices.
-    """
-    counts = _overlap_counts(dataset, mode)
-    if name not in dataset.classes:
-        raise ValueError(f"unknown class name(s): {name}")
-    return int(counts[dataset.names.index(name)])
 
 
 @dataclass(frozen=True)

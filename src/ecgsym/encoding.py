@@ -4,6 +4,9 @@ Four schemes: sign-of-slope and mean-relative-threshold, each producing a
 binary or ternary alphabet. Slope encoders emit one symbol per consecutive
 sample pair (one fewer than the input length); threshold encoders emit one
 symbol per sample.
+
+Every encoder works along the last axis: an (N, L) stack gives a matrix
+of symbol rows, each bit for bit the encoding of that row alone.
 """
 
 from __future__ import annotations
@@ -21,20 +24,21 @@ _ALPHABETS = {2: (0, 1), 3: (-1, 0, 1)}
 
 
 def _samples(signal) -> np.ndarray:
-    if isinstance(signal, Signal):
-        return signal.samples
-    return np.asarray(signal, dtype=float)
+    return (signal if isinstance(signal, Signal) else Signal(signal)).samples
 
 
 @dataclass(eq=False)
 class SymbolSequence:
-    """A finite sequence over the binary {0,1} or ternary {-1,0,1} alphabet."""
+    """A finite sequence over the binary {0,1} or ternary {-1,0,1} alphabet,
+    or a matrix of such sequences (one per row)."""
 
     symbols: np.ndarray
     alphabet_size: int
 
     def __post_init__(self):
         raw = np.asarray(self.symbols)
+        if raw.ndim not in (1, 2):
+            raise ValueError("symbols must be one row or a matrix of rows")
         if raw.size == 0:
             raise ValueError("empty sequence")
         if self.alphabet_size not in _ALPHABETS:
@@ -89,30 +93,29 @@ class EncoderSpec:
         return f"threshold-{kind}(E={self.deviation:g})"
 
 
+def _steps(signal, zero_tol: float) -> np.ndarray:
+    """Differences between consecutive samples of each row."""
+    x = _samples(signal)
+    if x.shape[-1] < 2:
+        raise ValueError("segment too short for slope encoding")
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be non-negative")
+    return np.diff(x, axis=-1)
+
+
 def encode_slope_binary(signal, zero_tol: float = 0.0) -> SymbolSequence:
     """1 where the step to the next sample is non-negative, else 0.
 
     Steps within ``zero_tol`` of zero count as flat and take the
     non-negative branch.
     """
-    x = _samples(signal)
-    if x.size < 2:
-        raise ValueError("segment too short for slope encoding")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
-    steps = np.diff(x)
-    return SymbolSequence((steps >= -zero_tol).astype(np.int8), 2)
+    return SymbolSequence((_steps(signal, zero_tol) >= -zero_tol).astype(np.int8), 2)
 
 
 def encode_slope_ternary(signal, zero_tol: float = 0.0) -> SymbolSequence:
     """1 for a rising step, -1 for a falling step, 0 within the flat band."""
-    x = _samples(signal)
-    if x.size < 2:
-        raise ValueError("segment too short for slope encoding")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
-    steps = np.diff(x)
-    out = np.zeros(steps.size, dtype=np.int8)
+    steps = _steps(signal, zero_tol)
+    out = np.zeros(steps.shape, dtype=np.int8)
     out[steps > zero_tol] = 1
     out[steps < -zero_tol] = -1
     return SymbolSequence(out, 3)
@@ -123,7 +126,7 @@ def encode_threshold_binary(signal, deviation: float) -> SymbolSequence:
     x = _samples(signal)
     if x.size == 0:
         raise ValueError("empty signal")
-    level = x.mean() + deviation * (x.max() - x.min())
+    level = x.mean(axis=-1, keepdims=True) + deviation * np.ptp(x, axis=-1, keepdims=True)
     return SymbolSequence((x >= level).astype(np.int8), 2)
 
 
@@ -138,10 +141,11 @@ def encode_threshold_ternary(signal, deviation: float) -> SymbolSequence:
         raise ValueError("empty signal")
     if deviation < 0:
         raise ValueError("ternary threshold requires non-negative deviation")
-    spread = deviation * (x.max() - x.min())
-    upper = x.mean() + spread
-    lower = x.mean() - spread
-    out = np.zeros(x.size, dtype=np.int8)
+    spread = deviation * np.ptp(x, axis=-1, keepdims=True)
+    mean = x.mean(axis=-1, keepdims=True)
+    upper = mean + spread
+    lower = mean - spread
+    out = np.zeros(x.shape, dtype=np.int8)
     out[x > upper] = 1
     out[x < lower] = -1
     return SymbolSequence(out, 3)

@@ -1,9 +1,9 @@
 """End-to-end experiment orchestration.
 
-Ingests labeled records, filters each segment with the compensated
-band-pass, encodes under every scheme in a grid, extracts entropy and
-complexity, evaluates the class overlap per scheme, and ranks schemes by
-ascending per-element overlap (lower overlap = better separation). Also
+Ingests labeled records, stacks the segments into one (N, L) signal,
+filters it with the compensated band-pass, encodes, extracts entropy and
+complexity and evaluates the class overlap once per scheme in a grid,
+and ranks schemes by ascending per-element overlap (lower = better). Also
 provides a synthetic Gaussian-cluster generator for validating the
 overlap metric without signal data.
 """
@@ -25,6 +25,7 @@ from .filtering import (
     DEFAULT_SAMPLE_RATE,
     PaddingPlan,
     Signal,
+    compensation_plan,
     filter_compensated,
     make_bandpass,
 )
@@ -172,8 +173,9 @@ class ExperimentConfig:
             raise ValueError("segment length must be at least 1")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be at least 1")
-        if self.pad_lead < 0 or self.pad_trail < 0:
-            raise ValueError("pad lengths must be non-negative")
+        plan = PaddingPlan(self.pad_lead, self.pad_trail)
+        if self.apply_filtering and not self.feature_files:
+            compensation_plan(make_bandpass(), self.sample_rate, plan)
         if self.mode not in ("forall", "exists"):
             raise ValueError("mode must be 'forall' or 'exists'")
 
@@ -324,20 +326,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         _check_grid_lengths(config)
         segments, skipped, dropped = _ingest(config)
-        plan = PaddingPlan(config.pad_lead, config.pad_trail)
-        bandpass = make_bandpass()
-        prepared = []
-        for seg in segments:
-            signal = seg.segment
-            if config.apply_filtering:
-                signal = filter_compensated(bandpass, signal, plan)
-            prepared.append((seg.label, signal))
+        labels = [seg.label for seg in segments]
+        signal = Signal(np.stack([seg.segment.samples for seg in segments]), config.sample_rate)
+        if config.apply_filtering:
+            plan = PaddingPlan(config.pad_lead, config.pad_trail)
+            signal = filter_compensated(make_bandpass(), signal, plan)
         entries = []
         for spec in config.encoders:
-            rows = []
-            for label, signal in prepared:
-                fv = extract_features(encode(signal, spec, config.zero_tol))
-                rows.append((label, fv.h_norm, fv.c_norm))
+            fv = extract_features(encode(signal, spec, config.zero_tol))
+            rows = list(zip(labels, fv.h_norm.tolist(), fv.c_norm.tolist()))
             report = evaluate_distribution(_feature_set(rows), config.mode)
             entries.append(EncoderRun(spec.label, rows, report))
     counts = dict(Counter(label for label, _, _ in entries[0].rows))
@@ -397,7 +394,11 @@ def write_reports(entries: list[EncoderRun], out_dir) -> list[Path]:
 
 
 def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
-    """Write per-encoder scatter files and the ranked summary table."""
+    """Write per-encoder scatter files and the ranked summary table; a label
+    with a comma or a newline, which would break the rows, raises first."""
+    for label in {label for entry in entries for label, _, _ in entry.rows}:
+        if any(c in label for c in ",\r\n"):
+            raise ValueError(f"label {label!r} contains a comma or a newline")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

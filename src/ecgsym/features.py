@@ -4,6 +4,9 @@ Shannon entropy (raw bits and normalized by the alphabet size), the
 production-count complexity of the left-to-right exhaustive parsing,
 its length-normalized form, and the minimum sequence length at which
 that normalization is meaningful.
+
+Every measure works along the last axis: a matrix of symbol rows gives
+per-row values, each bit for bit that of the row alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .encoding import SymbolSequence
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Coordinates of a sequence in the entropy-complexity plane."""
+    """Entropy-complexity coordinates of a sequence (per-row arrays for a matrix)."""
 
     h_norm: float
     c_norm: float
@@ -31,21 +34,29 @@ _MAX_DISTINCT = 256
 def _as_symbols(seq) -> np.ndarray:
     """Small non-negative codes, one per symbol, that preserve equality.
 
-    A :class:`SymbolSequence` is shifted from {-1, 0, 1} to {0, 1, 2}; a
-    plain sequence is rank-coded, so equal values share a code and
-    distinct values get distinct ones. Codes fit in one byte each.
+    A :class:`SymbolSequence` (one row or a matrix) is shifted from
+    {-1, 0, 1} to {0, 1, 2}; bytes are their own codes; a plain sequence
+    (one row) is rank-coded, so equal values share a code and distinct
+    values get distinct ones. Codes fit in one byte each.
     """
     if isinstance(seq, SymbolSequence):
         return (seq.symbols + 1).astype(np.uint8)
+    if isinstance(seq, bytes):
+        return np.frombuffer(seq, dtype=np.uint8)
     arr = np.asarray(seq)
-    if arr.size == 0:
-        raise ValueError("empty sequence")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("a plain sequence must be one non-empty row")
     values, codes = np.unique(arr, return_inverse=True)
     if values.size > _MAX_DISTINCT:
         raise ValueError(
             f"{values.size} distinct symbols; at most {_MAX_DISTINCT} are supported"
         )
     return codes.astype(np.uint8)
+
+
+def _per_row(values: np.ndarray):
+    """A float for a single sequence, the per-row array for a matrix."""
+    return float(values) if values.ndim == 0 else values
 
 
 def _alphabet_size(seq, alphabet_size) -> int:
@@ -59,16 +70,21 @@ def _alphabet_size(seq, alphabet_size) -> int:
 
 
 def shannon_entropy(seq) -> float:
-    """Entropy in bits of the empirical symbol distribution.
+    """Entropy in bits of the empirical symbol distribution of each row.
 
-    Probabilities are relative frequencies over the sequence; symbols
-    that never occur contribute nothing.
+    Probabilities are relative frequencies over the row; symbols that
+    never occur contribute nothing.
     """
     codes = _as_symbols(seq)
-    counts = np.bincount(codes)
-    p = counts[counts > 0] / codes.size
-    # 0.0 - x rather than -x, so a constant sequence gives +0.0, not -0.0
-    return float(0.0 - (p * np.log2(p)).sum())
+    rows, k = codes.reshape(-1, codes.shape[-1]), int(codes.max()) + 1
+    # one bincount, each row's codes offset into a block of its own
+    blocks = rows + k * np.arange(len(rows))[:, None]
+    counts = np.bincount(blocks.ravel(), minlength=k * len(rows))
+    p = counts.reshape(codes.shape[:-1] + (k,)) / codes.shape[-1]
+    # log2 only where p > 0, so an absent symbol adds an exact 0.0
+    plogp = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
+    # 0.0 - x rather than -x, so a constant row gives +0.0, not -0.0
+    return _per_row(0.0 - plogp.sum(axis=-1))
 
 
 def shannon_entropy_normalized(seq, alphabet_size: int | None = None) -> float:
@@ -82,7 +98,7 @@ def shannon_entropy_normalized(seq, alphabet_size: int | None = None) -> float:
 
 
 def lz_complexity(seq) -> int:
-    """Number of phrases in the left-to-right exhaustive parsing.
+    """Number of phrases in the left-to-right exhaustive parsing of one sequence.
 
     Scanning from the left, the current phrase is extended while it can
     be copied from somewhere in the sequence strictly before the phrase's
@@ -98,7 +114,10 @@ def lz_complexity(seq) -> int:
     search resumes at ``p + 1``. A new phrase starts with ``p = 0``, since
     the empty prefix occurs everywhere before it.
     """
-    s = _as_symbols(seq).tobytes()
+    codes = _as_symbols(seq)
+    if codes.ndim != 1:
+        raise ValueError("lz_complexity parses one sequence, not rows")
+    s = codes.tobytes()
     n = len(s)
     # the first symbol has nothing before it to copy, so it is a phrase alone
     count, m, k, p = 1, 1, 1, 0
@@ -123,12 +142,14 @@ def _log_base(alpha: int, x: float) -> float:
 
 
 def lz_normalized(seq, alphabet_size: int | None = None) -> float:
-    """Phrase count divided by the asymptotic bound n / log_alpha(n)."""
+    """Phrase count over the bound n / log_alpha(n); one :func:`lz_complexity` per row."""
     alpha = _alphabet_size(seq, alphabet_size)
-    n = _as_symbols(seq).size
+    codes = _as_symbols(seq)
+    n = codes.shape[-1]
     if n < 2:
         raise ValueError("sequence too short to normalize")
-    return lz_complexity(seq) * _log_base(alpha, n) / n
+    counts = np.array([lz_complexity(row.tobytes()) for row in codes.reshape(-1, n)])
+    return _per_row(counts.reshape(codes.shape[:-1]) * _log_base(alpha, n) / n)
 
 
 def epsilon_n(alphabet_size: int, n: int) -> float:
@@ -156,16 +177,18 @@ def min_valid_length(alphabet_size: int) -> int:
 
 
 def extract_features(seq: SymbolSequence, enforce_min_length: bool = True) -> FeatureVector:
-    """Normalized entropy and complexity of an encoded segment.
+    """Normalized entropy and complexity of an encoded segment, or per-row
+    arrays of both for a matrix of encoded segments.
 
-    By default rejects sequences shorter than :func:`min_valid_length`
-    for their alphabet; pass ``enforce_min_length=False`` to compute on
-    short sequences anyway.
+    By default rejects rows shorter than :func:`min_valid_length` for
+    their alphabet; pass ``enforce_min_length=False`` to compute on short
+    rows anyway.
     """
     bound = min_valid_length(seq.alphabet_size)
-    if enforce_min_length and len(seq) < bound:
+    length = seq.symbols.shape[-1]
+    if enforce_min_length and length < bound:
         raise ValueError(
-            f"sequence length {len(seq)} is below the minimum valid length "
+            f"sequence length {length} is below the minimum valid length "
             f"{bound} for alphabet size {seq.alphabet_size}"
         )
     return FeatureVector(shannon_entropy_normalized(seq), lz_normalized(seq))

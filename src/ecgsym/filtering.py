@@ -6,6 +6,10 @@ analytic group and phase delay, and an edge-padding procedure that
 returns a filtered segment phase-aligned with and equal in length to its
 input.
 
+Filtering works along the last axis: a :class:`Signal` holds one segment
+or an (N, L) stack at one sample rate, and a stack gives each row bit for
+bit as filtering that row alone does.
+
 Each stock denominator is a power of (1 - z^-1) that cancels exactly
 against numerator zeros at z = 1, so every stock filter is a pure FIR
 with integer taps and one integer divisor (the band-pass: 42 taps over
@@ -34,18 +38,20 @@ _PAD_MARGIN = 20
 
 @dataclass(eq=False)
 class Signal:
-    """A uniformly sampled real-valued waveform; every sample must be finite."""
+    """A uniformly sampled real-valued waveform, or an (N, L) stack of them
+    at one sample rate; every sample must be finite."""
 
     samples: np.ndarray
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ValueError("signal samples must be one-dimensional")
-        bad = np.flatnonzero(~np.isfinite(self.samples))
+        if self.samples.ndim not in (1, 2):
+            raise ValueError("signal samples must be one row or a matrix of rows")
+        bad = np.argwhere(~np.isfinite(self.samples))
         if bad.size:
-            raise ValueError(f"signal sample {bad[0]} is not finite: {self.samples[bad[0]]!r}")
+            at = ", ".join(str(i) for i in bad[0])
+            raise ValueError(f"signal sample {at} is not finite: {self.samples[tuple(bad[0])]!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -60,7 +66,8 @@ def _cancel_unit_poles(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np
     coefficient sums are exactly zero (no remainder) and every quotient
     coefficient is a float.
     """
-    b, a = [Fraction(v) for v in num], [Fraction(v) for v in den]
+    # integral values as ints, whose arithmetic is just as exact and far faster
+    b, a = ([int(v) if v.is_integer() else Fraction(v) for v in c.tolist()] for c in (num, den))
     while len(b) > 1 and len(a) > 1 and sum(b) == 0 and sum(a) == 0:
         qb, qa = list(accumulate(b[:-1])), list(accumulate(a[:-1]))
         if any(float(q) != q for q in qb + qa):
@@ -150,41 +157,34 @@ def make_bandpass() -> FilterCoefficients:
 
 
 def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
-    """Filter a signal: one convolution with the taps, one division.
+    """Filter each row: one convolution with the taps, one division.
 
-    Sample references before the start of the segment read as zero, so
-    the output has exactly the length of the input. For a stock filter
-    (pure FIR after cancellation) with integer-valued input and
-    max|x| * sum|taps| < 2**53, every partial sum is an exact integer K,
-    so each output is the correctly rounded K / divisor. Only when
+    Rows must be non-empty. Sample references before the start of a row
+    read as zero, so the output has the shape and sample rate of the
+    input: the rows, each led by ``taps.size - 1`` zeros, are convolved as
+    one flattened sequence and the outputs over the zeros dropped. For a
+    stock filter (pure FIR after cancellation) with integer-valued input
+    and max|x| * sum|taps| < 2**53, every partial sum is an exact integer
+    K, so each output is the correctly rounded K / divisor. Only when
     ``coeffs.feedback`` has more than one coefficient does the per-sample
-    direct-form feedback recursion run.
-
-    Parameters
-    ----------
-    coeffs : FilterCoefficients
-        Filter, already reduced to taps, divisor and feedback.
-    signal : Signal
-        Input segment; must be non-empty.
-
-    Returns
-    -------
-    Signal
-        Filtered segment with the same length and sample rate.
+    feedback recursion run.
     """
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
-    y = np.convolve(x, coeffs.taps)[: x.size] / coeffs.divisor
+    history = coeffs.taps.size - 1
+    led = np.pad(np.atleast_2d(x), ((0, 0), (history, 0)))
+    y = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)[:, history:]
+    y /= coeffs.divisor
     a = coeffs.feedback
     if a.size > 1:
-        # Feedback cannot be vectorized; it runs only for denominators
-        # that do not cancel, and those are short.
+        # Feedback cannot be vectorized along a row; it runs only for
+        # denominators that do not cancel, and those are short.
         n_fb = a.size - 1
-        for n in range(y.size):
+        for n in range(y.shape[1]):
             for j in range(1, min(n, n_fb) + 1):
-                y[n] -= a[j] * y[n - j]
-    return Signal(y, signal.sample_rate)
+                y[:, n] -= a[j] * y[:, n - j]
+    return Signal(y.reshape(x.shape), signal.sample_rate)
 
 
 def _poly_sums(c: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,21 +266,32 @@ class PaddingPlan:
             raise ValueError("pad lengths must be non-negative")
 
 
-def default_padding(
+def compensation_plan(
     coeffs: FilterCoefficients,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
+    plan: PaddingPlan | None = None,
     center_hz: float = PASSBAND_CENTER_HZ,
-) -> PaddingPlan:
-    """Symmetric padding covering both the transient and the delay.
+) -> tuple[PaddingPlan, int]:
+    """Pad lengths and extraction shift (the rounded :func:`alignment_delay`
+    at the passband center, evaluated once) of compensated filtering.
 
-    Pad length is the larger of the coefficient counts and the rounded-up
-    alignment delay at the passband center, plus a safety margin. For the
-    band-pass cascade this gives 65 samples on each side.
+    The default ``plan`` pads both sides by the larger of the coefficient
+    counts and the rounded-up delay, plus a margin: 65 for the band-pass.
+    A lead below the filter order or a trail below the shift raises.
     """
-    omega = 2.0 * math.pi * center_hz / sample_rate
-    delay = alignment_delay(coeffs, omega)
-    k = max(coeffs.numerator.size, coeffs.denominator.size, math.ceil(delay)) + _PAD_MARGIN
-    return PaddingPlan(k, k)
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    delay = alignment_delay(coeffs, 2.0 * math.pi * center_hz / sample_rate)
+    if plan is None:
+        k = max(coeffs.numerator.size, coeffs.denominator.size, math.ceil(delay)) + _PAD_MARGIN
+        plan = PaddingPlan(k, k)
+    shift = int(round(delay))
+    if plan.lead < coeffs.order or plan.trail < shift:
+        raise ValueError(
+            f"insufficient padding: need lead >= {coeffs.order} and trail >= {shift}, "
+            f"got lead={plan.lead}, trail={plan.trail}"
+        )
+    return plan, shift
 
 
 def filter_compensated(
@@ -289,38 +300,22 @@ def filter_compensated(
     plan: PaddingPlan | None = None,
     center_hz: float = PASSBAND_CENTER_HZ,
 ) -> Signal:
-    """Filter a segment without losing samples to transient or delay.
+    """Filter each (non-empty) row without losing samples to transient or delay.
 
-    The segment is extended with replicas of its first sample on the left
+    Each row is extended with replicas of its first sample on the left
     and its last sample on the right, filtered with :func:`apply_filter`,
-    and a window of the original length is extracted starting at
-    ``lead + round(alignment_delay)``. The result has the same length as
-    the input and is phase-aligned with it at the passband center.
-
-    Parameters
-    ----------
-    coeffs : FilterCoefficients
-    signal : Signal
-        Non-empty input segment.
-    plan : PaddingPlan, optional
-        Pad lengths; defaults to :func:`default_padding`. The lead must
-        cover the filter order and the trail the extraction shift.
-    center_hz : float
-        Frequency at which the alignment delay is evaluated.
+    and a window of the row's length is extracted starting at
+    ``lead + shift``, both from one :func:`compensation_plan` call with
+    ``plan`` and ``center_hz`` (the frequency at which the alignment delay
+    is evaluated). The result has the shape of the input and is
+    phase-aligned with it at the passband center.
     """
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
-    omega = 2.0 * math.pi * center_hz / signal.sample_rate
-    if plan is None:
-        plan = default_padding(coeffs, signal.sample_rate, center_hz)
-    shift = int(round(alignment_delay(coeffs, omega)))
-    if plan.lead < coeffs.order or plan.trail < shift:
-        raise ValueError(
-            f"insufficient padding: need lead >= {coeffs.order} and trail >= {shift}, "
-            f"got lead={plan.lead}, trail={plan.trail}"
-        )
-    padded = np.concatenate([np.full(plan.lead, x[0]), x, np.full(plan.trail, x[-1])])
+    plan, shift = compensation_plan(coeffs, signal.sample_rate, plan, center_hz)
+    padded = np.pad(np.atleast_2d(x), ((0, 0), (plan.lead, plan.trail)), mode="edge")
     y = apply_filter(coeffs, Signal(padded, signal.sample_rate)).samples
     start = plan.lead + shift
-    return Signal(y[start : start + x.size], signal.sample_rate)
+    window = np.ascontiguousarray(y[:, start : start + x.shape[-1]])
+    return Signal(window.reshape(x.shape), signal.sample_rate)

@@ -17,28 +17,20 @@ import numpy as np
 from .filtering import DEFAULT_SAMPLE_RATE, Signal
 
 DEFAULT_SEGMENT_LENGTH = 720
-DEFAULT_GAIN = 200.0
 
 
 @dataclass(frozen=True)
 class RecordHeader:
-    """Acquisition metadata for a stored record.
-
-    ``samples_per_signal``, when given, truncates each channel to that
-    many samples on read (212-format files have no end-of-data marker).
-    """
+    """Acquisition metadata for a stored record."""
 
     signal_count: int = 2
     sample_rate: float = DEFAULT_SAMPLE_RATE
-    samples_per_signal: int | None = None
 
     def __post_init__(self):
         if self.signal_count < 1:
             raise ValueError("signal_count must be at least 1")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.samples_per_signal is not None and self.samples_per_signal < 1:
-            raise ValueError("samples_per_signal must be positive")
 
 
 def parse_format212(data: bytes, signal_count: int = 2) -> list[np.ndarray]:
@@ -95,17 +87,7 @@ def read_binary_record(path, header: RecordHeader = RecordHeader()) -> list[Sign
     """Read a 212-format file into one Signal per declared channel."""
     data = Path(path).read_bytes()
     channels = parse_format212(data, header.signal_count)
-    if header.samples_per_signal is not None:
-        channels = [ch[: header.samples_per_signal] for ch in channels]
     return [Signal(ch.astype(float), header.sample_rate) for ch in channels]
-
-
-def adc_to_millivolts(values, gain: float = DEFAULT_GAIN, baseline: float = 0.0) -> np.ndarray:
-    return (np.asarray(values, dtype=float) - baseline) / gain
-
-
-def millivolts_to_adc(values, gain: float = DEFAULT_GAIN, baseline: float = 0.0) -> np.ndarray:
-    return np.rint(np.asarray(values, dtype=float) * gain + baseline)
 
 
 def read_text_signal(

@@ -398,6 +398,8 @@ _BAD_RECORD_FLAGS = [
 _BAD_RUN_FLAGS = [
     (["--pad-before", "-1"], "pad lengths must be non-negative"),
     (["--pad-after", "-1"], "pad lengths must be non-negative"),
+    (["--pad-before", "10"], "insufficient padding: need lead >= 44 and trail >= 21"),
+    (["--pad-after", "5"], "insufficient padding: need lead >= 44 and trail >= 21"),
 ]
 
 
@@ -421,6 +423,29 @@ def test_bad_config_value_is_usage_error_before_any_work(
          "--sidecar", str(dataset / "labels.csv")] + flags
     )
     assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_short_padding_is_accepted_without_filtering(dataset):
+    code = main(
+        ["run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
+         str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"),
+         "--no-filter", "--pad-before", "10", "--pad-after", "5"]
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(flags, message, id=" ".join(flags))
+        for flags, message in _BAD_RUN_FLAGS
+        + [(["--sample-rate", "0"], "sample_rate must be positive")]
+    ],
+)
+def test_filter_bad_value_is_usage_error_before_reading(tmp_path, capsys, flags, message):
+    # the input does not exist, so reading it first would report that instead
+    assert main(["filter", str(tmp_path / "missing.txt"), *flags]) == 1
     assert message in capsys.readouterr().err
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ecgsym.distribution import (
     LabeledFeatureSet,
     centroid,
-    class_overlap,
     evaluate_distribution,
     report_from_counts,
 )
@@ -58,36 +57,33 @@ def test_centroid_empty_rejected():
 
 # --- per-class overlap ----------------------------------------------------------------
 
+def overlaps(ds: LabeledFeatureSet, mode: str = "forall") -> tuple[int, ...]:
+    return evaluate_distribution(ds, mode).class_overlaps
+
+
 def test_overlap_zero_for_separated_pairs():
     ds = LabeledFeatureSet({"A": [(0, 0), (4, 0)], "B": [(10, 0), (14, 0)]})
-    assert class_overlap(ds, "A") == 0
-    assert class_overlap(ds, "B") == 0
+    assert overlaps(ds) == (0, 0)
 
 
 def test_overlap_total_for_coincident_classes():
     ds = LabeledFeatureSet({"A": [(0, 0), (1, 0)], "B": [(0, 0), (1, 0)]})
-    assert class_overlap(ds, "A") == 2
-    assert class_overlap(ds, "B") == 2
+    assert overlaps(ds) == (2, 2)
 
 
 def test_overlap_zero_for_distinct_singletons():
     ds = LabeledFeatureSet({"A": [(0, 0)], "B": [(3, 0)], "C": [(0, 5)]})
-    for name in ("A", "B", "C"):
-        assert class_overlap(ds, name) == 0
+    assert overlaps(ds) == (0, 0, 0)
 
 
 def test_overlap_needs_two_classes():
     ds = LabeledFeatureSet({"A": [(0, 0), (1, 1)]})
-    with pytest.raises(ValueError, match="at least two classes"):
-        class_overlap(ds, "A")
     with pytest.raises(ValueError, match="at least two classes"):
         evaluate_distribution(ds)
 
 
 def test_overlap_unknown_class():
     ds = LabeledFeatureSet({"A": [(0, 0)], "B": [(1, 0)]})
-    with pytest.raises(ValueError, match="unknown class"):
-        class_overlap(ds, "Z")
     with pytest.raises(ValueError, match="unknown class"):
         ds.subset(["A", "Z"])
 
@@ -96,22 +92,19 @@ def test_overlap_unknown_class():
 @settings(max_examples=60)
 def test_overlap_matches_loop_oracle(ds, mode):
     expected = overlap_counts({k: v.tolist() for k, v in ds.classes.items()}, mode)
-    for name in ds.names:
-        assert class_overlap(ds, name, mode) == expected[name]
-    assert evaluate_distribution(ds, mode).class_overlaps == tuple(expected[n] for n in ds.names)
+    assert overlaps(ds, mode) == tuple(expected[n] for n in ds.names)
 
 
 @given(datasets())
 @settings(max_examples=60)
 def test_forall_at_most_exists(ds):
-    for name in ds.names:
-        assert class_overlap(ds, name, "forall") <= class_overlap(ds, name, "exists")
+    for forall, exists in zip(overlaps(ds, "forall"), overlaps(ds, "exists")):
+        assert forall <= exists
 
 
 def test_modes_agree_for_two_classes():
     ds = two_cluster_set(1.5)
-    for name in ds.names:
-        assert class_overlap(ds, name, "forall") == class_overlap(ds, name, "exists")
+    assert overlaps(ds, "forall") == overlaps(ds, "exists")
 
 
 # --- report arithmetic -------------------------------------------------------------------

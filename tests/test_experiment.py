@@ -349,6 +349,15 @@ def test_emit_plot_data_rows_and_summary(record_setup, tmp_path):
     assert values == sorted(values)
 
 
+@pytest.mark.parametrize("label", ["a,b", "a\nb"])
+def test_emit_plot_data_rejects_label_that_breaks_the_rows(tmp_path, label):
+    ds = LabeledFeatureSet({label: [(0.1, 0.2)], "ok": [(0.8, 0.9)]})
+    out = tmp_path / "emit"
+    with pytest.raises(ValueError, match="contains a comma or a newline"):
+        emit_plot_data([entry_from_dataset("e", ds)], out)
+    assert not out.exists()
+
+
 def test_rank_entries_stable_on_ties():
     ds = make_clusters([(0, 0), (5, 5)], 10, 0.0, seed=0, names=["A", "B"])
     entries = [entry_from_dataset("first", ds), entry_from_dataset("second", ds)]

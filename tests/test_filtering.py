@@ -12,7 +12,7 @@ from ecgsym.filtering import (
     Signal,
     alignment_delay,
     apply_filter,
-    default_padding,
+    compensation_plan,
     filter_compensated,
     frequency_response,
     group_delay,
@@ -385,8 +385,8 @@ def test_insufficient_padding_rejected():
 
 
 def test_default_padding():
-    assert default_padding(make_bandpass()) == PaddingPlan(65, 65)
-    assert default_padding(make_lowpass()) == PaddingPlan(33, 33)
+    assert compensation_plan(make_bandpass()) == (PaddingPlan(65, 65), 21)
+    assert compensation_plan(make_lowpass())[0] == PaddingPlan(33, 33)
 
 
 def test_frequency_response_magnitudes():
@@ -407,8 +407,10 @@ def test_frequency_response_near_dc_matches_stage_product():
 def test_signal_validation():
     with pytest.raises(ValueError):
         Signal(np.ones(4), 0.0)
-    with pytest.raises(ValueError):
-        Signal(np.ones((2, 2)), FS)
+    # one row or an (N, L) stack of rows; nothing else
+    for shape in ((), (2, 2, 2)):
+        with pytest.raises(ValueError, match="one row or a matrix of rows"):
+            Signal(np.ones(shape), FS)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -7,9 +7,7 @@ from ecgsym.filtering import Signal
 from ecgsym.records import (
     LabelSpan,
     RecordHeader,
-    adc_to_millivolts,
     load_labeled_segments,
-    millivolts_to_adc,
     pack_format212,
     parse_format212,
     read_binary_record,
@@ -84,30 +82,6 @@ def test_record_header_validation():
         RecordHeader(signal_count=0)
     with pytest.raises(ValueError):
         RecordHeader(sample_rate=-1)
-    with pytest.raises(ValueError):
-        RecordHeader(samples_per_signal=0)
-
-
-def test_read_binary_record_truncates_to_declared_length(tmp_path):
-    path = tmp_path / "rec.dat"
-    path.write_bytes(pack_format212([[1, 2, 3, 4], [5, 6, 7, 8]]))
-    header = RecordHeader(signal_count=2, samples_per_signal=3)
-    signals = read_binary_record(path, header)
-    np.testing.assert_array_equal(signals[0].samples, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(signals[1].samples, [5.0, 6.0, 7.0])
-
-
-# --- unit conversion ----------------------------------------------------------------
-
-@given(twelve_bit)
-def test_adc_millivolt_roundtrip(value):
-    mv = adc_to_millivolts([value], gain=200.0, baseline=1024.0)
-    back = millivolts_to_adc(mv, gain=200.0, baseline=1024.0)
-    assert back[0] == value
-
-
-def test_millivolt_conversion_values():
-    np.testing.assert_allclose(adc_to_millivolts([1224], gain=200.0, baseline=1024.0), [1.0])
 
 
 # --- text signals -------------------------------------------------------------------
