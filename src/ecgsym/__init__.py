@@ -52,16 +52,14 @@ from .filtering import (
     make_lowpass,
 )
 from .records import (
-    LabeledSegment,
+    LabeledSegments,
     LabelSpan,
-    RecordHeader,
     load_labeled_segments,
     pack_format212,
     parse_format212,
     read_binary_record,
     read_label_sidecar,
     read_text_signal,
-    segment_record,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -161,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ingest(args) -> int:
     segments, skipped, dropped = exp._ingest(_config_from_args(args))
-    counts: dict[str, int] = {}
-    for seg in segments:
-        counts[seg.label] = counts.get(seg.label, 0) + 1
+    counts = Counter(segments.labels)
     for label in sorted(counts):
         print(f"{label}: {counts[label]}")
     print(
@@ -174,7 +173,8 @@ def cmd_ingest(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         lines = ["record_id,start,label"]
-        lines += [f"{s.record_id},{s.start},{s.label}" for s in segments]
+        rows = zip(segments.record_ids, segments.starts, segments.labels)
+        lines += [f"{record_id},{start},{label}" for record_id, start, label in rows]
         (out / "segments.csv").write_text("\n".join(lines) + "\n")
         print(f"manifest written to {out / 'segments.csv'}")
     return 0

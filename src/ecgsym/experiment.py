@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration.
 
-Ingests labeled records, stacks the segments into one (N, L) signal,
-filters it with the compensated band-pass, encodes, extracts entropy and
-complexity and evaluates the class overlap once per scheme in a grid,
-and ranks schemes by ascending per-element overlap (lower = better). Also
-provides a synthetic Gaussian-cluster generator for validating the
-overlap metric without signal data.
+Ingests labeled records as one (N, L) stack of segments, filters it with
+the compensated band-pass, encodes, extracts entropy and complexity and
+evaluates the class overlap once per scheme in a grid, and ranks schemes
+by ascending per-element overlap (lower = better). Also provides a
+synthetic Gaussian-cluster generator for validating the overlap metric
+without signal data.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .filtering import (
 )
 from .records import (
     DEFAULT_SEGMENT_LENGTH,
-    RecordHeader,
     read_binary_record,
     read_label_sidecar,
     read_text_signal,
@@ -263,8 +262,7 @@ def _feature_set(rows) -> LabeledFeatureSet:
 
 def _read_record_signal(path: str, config: ExperimentConfig) -> Signal:
     if config.record_format == "212":
-        header = RecordHeader(signal_count=config.signal_count, sample_rate=config.sample_rate)
-        channels = read_binary_record(path, header)
+        channels = read_binary_record(path, config.signal_count, config.sample_rate)
         if config.channel >= len(channels):
             raise ValueError(f"{path}: no channel {config.channel}")
         return channels[config.channel]
@@ -302,7 +300,7 @@ def _ingest(config: ExperimentConfig):
     )
     if not segments:
         raise ValueError("no labeled segments after ingestion")
-    present = {seg.label for seg in segments}
+    present = set(segments.labels)
     for label in sorted({s.label for s in spans}):
         if label not in present:
             raise ValueError(f"class {label!r} ended up empty after ingestion")
@@ -326,15 +324,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         _check_grid_lengths(config)
         segments, skipped, dropped = _ingest(config)
-        labels = [seg.label for seg in segments]
-        signal = Signal(np.stack([seg.segment.samples for seg in segments]), config.sample_rate)
+        signal = Signal(segments.samples, config.sample_rate)
         if config.apply_filtering:
             plan = PaddingPlan(config.pad_lead, config.pad_trail)
             signal = filter_compensated(make_bandpass(), signal, plan)
         entries = []
         for spec in config.encoders:
             fv = extract_features(encode(signal, spec, config.zero_tol))
-            rows = list(zip(labels, fv.h_norm.tolist(), fv.c_norm.tolist()))
+            rows = list(zip(segments.labels, fv.h_norm.tolist(), fv.c_norm.tolist()))
             report = evaluate_distribution(_feature_set(rows), config.mode)
             entries.append(EncoderRun(spec.label, rows, report))
     counts = dict(Counter(label for label, _, _ in entries[0].rows))

@@ -161,9 +161,10 @@ def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
 
     Rows must be non-empty. Sample references before the start of a row
     read as zero, so the output has the shape and sample rate of the
-    input: the rows, each led by ``taps.size - 1`` zeros, are convolved as
-    one flattened sequence and the outputs over the zeros dropped. For a
-    stock filter (pure FIR after cancellation) with integer-valued input
+    input: the rows are convolved as one flattened sequence, and the first
+    ``taps.size - 1`` outputs of each row, which would read the end of the
+    row before, are redone from the row's head led by that many zeros. For
+    a stock filter (pure FIR after cancellation) with integer-valued input
     and max|x| * sum|taps| < 2**53, every partial sum is an exact integer
     K, so each output is the correctly rounded K / divisor. Only when
     ``coeffs.feedback`` has more than one coefficient does the per-sample
@@ -172,9 +173,14 @@ def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
+    rows = np.atleast_2d(x)
     history = coeffs.taps.size - 1
-    led = np.pad(np.atleast_2d(x), ((0, 0), (history, 0)))
-    y = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)[:, history:]
+    y = np.convolve(rows.ravel(), coeffs.taps)[: rows.size].reshape(rows.shape)
+    head = min(history, rows.shape[1])
+    if head:
+        led = np.pad(rows[:, :head], ((0, 0), (history, 0)))
+        redone = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)
+        y[:, :head] = redone[:, history:]
     y /= coeffs.divisor
     a = coeffs.feedback
     if a.size > 1:
@@ -316,6 +322,7 @@ def filter_compensated(
     plan, shift = compensation_plan(coeffs, signal.sample_rate, plan, center_hz)
     padded = np.pad(np.atleast_2d(x), ((0, 0), (plan.lead, plan.trail)), mode="edge")
     y = apply_filter(coeffs, Signal(padded, signal.sample_rate)).samples
+    del padded  # freed before the window is copied out: two stacks are held at most
     start = plan.lead + shift
     window = np.ascontiguousarray(y[:, start : start + x.shape[-1]])
     return Signal(window.reshape(x.shape), signal.sample_rate)

@@ -1,9 +1,10 @@
-"""Reading ECG records and slicing them into labeled analysis segments.
+"""Reading ECG records and cutting them into one labeled (N, L) stack.
 
 Supports the 212-format binary packing (two 12-bit two's-complement
 samples per 3-byte group) and one-sample-per-row delimited text. Segment
 class labels come from a sidecar file mapping sample ranges of a record
-to a label.
+to a label; :func:`load_labeled_segments` copies every labeled window of
+every record into one array, one row per window.
 """
 
 from __future__ import annotations
@@ -17,20 +18,6 @@ import numpy as np
 from .filtering import DEFAULT_SAMPLE_RATE, Signal
 
 DEFAULT_SEGMENT_LENGTH = 720
-
-
-@dataclass(frozen=True)
-class RecordHeader:
-    """Acquisition metadata for a stored record."""
-
-    signal_count: int = 2
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        if self.signal_count < 1:
-            raise ValueError("signal_count must be at least 1")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
 
 def parse_format212(data: bytes, signal_count: int = 2) -> list[np.ndarray]:
@@ -83,11 +70,22 @@ def pack_format212(channels) -> bytes:
     return out.tobytes()
 
 
-def read_binary_record(path, header: RecordHeader = RecordHeader()) -> list[Signal]:
-    """Read a 212-format file into one Signal per declared channel."""
+def read_binary_record(
+    path, signal_count: int = 2, sample_rate: float = DEFAULT_SAMPLE_RATE
+) -> list[Signal]:
+    """Read a 212-format file into one Signal per declared channel.
+
+    Raises naming the file when the stream is truncated or holds no
+    complete sample of every channel.
+    """
     data = Path(path).read_bytes()
-    channels = parse_format212(data, header.signal_count)
-    return [Signal(ch.astype(float), header.sample_rate) for ch in channels]
+    try:
+        channels = parse_format212(data, signal_count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if channels[0].size == 0:
+        raise ValueError(f"{path}: no samples")
+    return [Signal(ch.astype(float), sample_rate) for ch in channels]
 
 
 def read_text_signal(
@@ -129,33 +127,6 @@ def read_text_signal(
     return Signal(np.array(values), sample_rate)
 
 
-def segment_record(signal: Signal, length: int = DEFAULT_SEGMENT_LENGTH, stride: int | None = None):
-    """Slice a record into fixed-length windows.
-
-    Windows start every ``stride`` samples and must fit entirely inside
-    the record; a trailing partial window is dropped and counted.
-
-    Returns
-    -------
-    (windows, dropped) : windows is a list of (start_index, Signal);
-        dropped is 1 if trailing samples could not fill a window, else 0.
-    """
-    if length < 1:
-        raise ValueError("segment length must be at least 1")
-    if stride is None:
-        stride = length
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    n = len(signal)
-    windows = []
-    start = 0
-    while start + length <= n:
-        windows.append((start, Signal(signal.samples[start : start + length], signal.sample_rate)))
-        start += stride
-    dropped = 1 if start < n else 0
-    return windows, dropped
-
-
 @dataclass(frozen=True)
 class LabelSpan:
     """Half-open sample range [start, end) of a record with a class label."""
@@ -191,13 +162,17 @@ def read_label_sidecar(path, delimiter: str = ",") -> list[LabelSpan]:
 
 
 @dataclass(eq=False)
-class LabeledSegment:
-    """A fixed-length analysis window with its class label."""
+class LabeledSegments:
+    """A run's labeled windows as one (N, L) array: row i is the window of
+    ``record_ids[i]`` that starts at sample ``starts[i]``, labeled ``labels[i]``."""
 
-    segment: Signal
-    label: str
-    record_id: str
-    start: int
+    samples: np.ndarray
+    labels: list[str]
+    record_ids: list[str]
+    starts: list[int]
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def load_labeled_segments(
@@ -206,29 +181,37 @@ def load_labeled_segments(
     length: int = DEFAULT_SEGMENT_LENGTH,
     stride: int | None = None,
 ):
-    """Segment records and attach exactly one label to each window.
+    """Cut every record into windows and keep those with exactly one label.
 
-    A window takes the label of a span that fully contains it. Windows
-    covered by spans with different labels raise; windows covered by no
-    span are skipped and counted.
+    Windows start every ``stride`` samples (default ``length``) and must
+    fit entirely inside the record. A window takes the label of a span
+    that fully contains it. Windows covered by spans with different labels
+    raise; windows covered by no span are skipped and counted.
 
     Returns
     -------
-    (segments, skipped, dropped) : list of LabeledSegment, the number of
-        windows left unlabeled, and the number of records whose trailing
+    (segments, skipped, dropped) : the labeled windows as LabeledSegments,
+        in record order and by start within a record; the number of
+        windows left unlabeled; and the number of records whose trailing
         samples could not fill a window.
     """
+    if length < 1:
+        raise ValueError("segment length must be at least 1")
+    if stride is None:
+        stride = length
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     for span in spans:
         if span.record_id not in signals:
             raise ValueError(f"sidecar references unknown record {span.record_id!r}")
-    segments = []
-    skipped = 0
-    dropped = 0
+    labels, record_ids, starts = [], [], []
+    skipped = dropped = 0
     for record_id, signal in signals.items():
-        windows, record_dropped = segment_record(signal, length, stride)
-        dropped += record_dropped
+        n = len(signal)
+        windows = range(0, max(n - length + 1, 0), stride)
+        dropped += int(len(windows) * stride < n)  # the first start that fits no window
         record_spans = [s for s in spans if s.record_id == record_id]
-        for start, window in windows:
+        for start in windows:
             covering = {s.label for s in record_spans if s.start <= start and start + length <= s.end}
             if len(covering) > 1:
                 raise ValueError(
@@ -238,5 +221,10 @@ def load_labeled_segments(
             if not covering:
                 skipped += 1
                 continue
-            segments.append(LabeledSegment(window, covering.pop(), record_id, start))
-    return segments, skipped, dropped
+            labels.append(covering.pop())
+            record_ids.append(record_id)
+            starts.append(start)
+    samples = np.empty((len(starts), length))
+    for row, record_id, start in zip(samples, record_ids, starts):
+        row[:] = signals[record_id].samples[start : start + length]
+    return LabeledSegments(samples, labels, record_ids, starts), skipped, dropped

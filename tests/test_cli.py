@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgsym.cli import main
 from ecgsym.records import pack_format212
@@ -170,17 +175,111 @@ def test_features_constant_sequence_prints_positive_zero(tmp_path, capsys):
 
 
 def test_ingest_counts_and_manifest(dataset, capsys):
-    out = dataset / "ingested"
-    code = main(
-        ["ingest", str(dataset / "r1.txt"), str(dataset / "r2.txt"),
-         "--sidecar", str(dataset / "labels.csv"), "--out", str(out)]
-    )
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "steady: 2" in printed and "erratic: 2" in printed
-    manifest = (out / "segments.csv").read_text().strip().splitlines()
-    assert manifest[0] == "record_id,start,label"
-    assert len(manifest) == 5
+    # the default stride, then overlapping windows of which one is left
+    # unlabeled and each record's trailing samples are dropped
+    partial = dataset / "partial.csv"
+    partial.write_text("r1,0,1440,steady\nr2,200,1300,erratic\n")
+    cases = [
+        ([], "labels.csv",
+         "erratic: 2\nsteady: 2\n"
+         "total: 4 segments, 0 unlabeled windows skipped, 0 trailing partial windows dropped\n",
+         ["r1,0,steady", "r1,720,steady", "r2,0,erratic", "r2,720,erratic"]),
+        (["--stride", "250"], "partial.csv",
+         "erratic: 2\nsteady: 3\n"
+         "total: 5 segments, 1 unlabeled windows skipped, 2 trailing partial windows dropped\n",
+         ["r1,0,steady", "r1,250,steady", "r1,500,steady", "r2,250,erratic", "r2,500,erratic"]),
+    ]
+    for i, (flags, sidecar, counts, rows) in enumerate(cases):
+        out = dataset / f"ingested{i}"
+        code = main(
+            ["ingest", str(dataset / "r1.txt"), str(dataset / "r2.txt"),
+             "--sidecar", str(dataset / sidecar), "--out", str(out)] + flags
+        )
+        assert code == 0
+        manifest = out / "segments.csv"
+        assert capsys.readouterr().out == counts + f"manifest written to {manifest}\n"
+        assert manifest.read_text() == "\n".join(["record_id,start,label", *rows]) + "\n"
+
+
+def test_ingest_empty_binary_record_is_data_error(dataset, capsys):
+    empty = dataset / "r1.dat"
+    empty.write_bytes(b"")
+    code = main(["ingest", str(empty), "--format", "212", "--sidecar", str(dataset / "labels.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {empty}: no samples\n"
+
+
+# Rejected ingest input: (kind, *details). Records have _N samples and are
+# cut into 400-sample windows.
+_N = 800
+_REJECTED_INPUT = st.one_of(
+    st.tuples(
+        st.just("text row"),
+        st.integers(1, _N),
+        st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "abc", "0x10", "1..0"]),
+    ),
+    st.tuples(
+        st.just("sidecar row"),
+        st.integers(1, 3),
+        st.sampled_from(
+            ["r1,0,800", "r1,0,800,a,b", "r1", "r1;0;800;a"]  # field count
+            + ["r1,-1,800,a", "r1,400,400,a", "r1,500,100,a", "r1,x,800,a", "r1,0,800,"]  # span
+        ),
+    ),
+    st.tuples(st.just("truncated 212"), st.integers(0, 100), st.integers(1, 2)),
+    st.tuples(st.just("conflict"), st.sampled_from([0, 400]), st.integers(0, 400),
+              st.integers(0, 50)),
+)
+
+
+@given(_REJECTED_INPUT)
+@settings(max_examples=60, deadline=None)
+def test_rejected_ingest_input_exits_2_naming_its_row_or_record(case):
+    kind = case[0]
+    wave = np.rint(300 * np.sin(2 * math.pi * 8.0 * np.arange(_N) / FS)).astype(int)
+    text = [str(v) for v in wave]
+    sidecar_rows = ["r1,0,800,a", "r2,0,800,b"]
+    flags = ["--segment-length", "400"]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        sidecar = d / "labels.csv"
+        if kind == "truncated 212":
+            _, groups, extra = case
+            records = [d / "r1.dat", d / "r2.dat"]
+            records[0].write_bytes(bytes(3 * groups + extra))
+            records[1].write_bytes(pack_format212([wave, wave]))
+            flags += ["--format", "212"]
+            expected = [f"{records[0]}: truncated format-212 stream"]
+        else:
+            records = [d / "r1.txt", d / "r2.txt"]
+            bad = list(text)
+            expected = []
+            if kind == "text row":
+                _, row, token = case
+                bad[row - 1] = token
+                expected = [f"{records[0]}: row {row} column 0 is not"]
+            elif kind == "sidecar row":
+                _, row, line = case
+                sidecar_rows.insert(row - 1, line)
+                expected = [f"{sidecar}: row {row}"]
+            else:
+                _, window, back, ahead = case
+                sidecar_rows.append(f"r1,{max(window - back, 0)},{window + 400 + ahead},b")
+                expected = ["conflicting labels ['a', 'b'] for 'r1' window"]
+            records[0].write_text("\n".join(bad) + "\n")
+            records[1].write_text("\n".join(text) + "\n")
+        sidecar.write_text("\n".join(sidecar_rows) + "\n")
+        for command in ("ingest", "run"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(
+                    [command, *map(str, records), "--sidecar", str(sidecar), *flags]
+                )
+            message = err.getvalue()
+            assert code == 2, (command, message)
+            assert message.startswith("data error: ")
+            for part in expected:
+                assert part in message, (command, message)
 
 
 def test_ingest_without_records_or_sidecar_is_usage_error(dataset, capsys):

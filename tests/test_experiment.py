@@ -25,7 +25,7 @@ from ecgsym.experiment import (
     _ingest,
 )
 from ecgsym.features import lz_complexity
-from ecgsym.filtering import PaddingPlan, filter_compensated, make_bandpass
+from ecgsym.filtering import PaddingPlan, Signal, filter_compensated, make_bandpass
 
 from oracles import lz_count
 from record_pipeline_demo import build_dataset
@@ -380,8 +380,8 @@ def test_lz_matches_oracle_on_pipeline_sequences(tmp_path):
     bandpass = make_bandpass()
     plan = PaddingPlan(config.pad_lead, config.pad_trail)
     checked = 0
-    for seg in segments:
-        signal = filter_compensated(bandpass, seg.segment, plan)
+    for row in segments.samples:
+        signal = filter_compensated(bandpass, Signal(row, config.sample_rate), plan)
         for spec in default_encoder_grid():
             seq = encode(signal, spec)
             assert len(seq) >= 719

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,12 @@ from hypothesis import strategies as st
 from ecgsym.filtering import Signal
 from ecgsym.records import (
     LabelSpan,
-    RecordHeader,
     load_labeled_segments,
     pack_format212,
     parse_format212,
     read_binary_record,
     read_label_sidecar,
     read_text_signal,
-    segment_record,
 )
 
 twelve_bit = st.integers(-2048, 2047)
@@ -71,17 +71,25 @@ def test_roundtrip_two_channels(pairs):
 def test_read_binary_record(tmp_path):
     path = tmp_path / "rec.dat"
     path.write_bytes(pack_format212([[10, 20, 30], [-1, -2, -3]]))
-    signals = read_binary_record(path, RecordHeader(signal_count=2, sample_rate=360.0))
+    signals = read_binary_record(path, signal_count=2, sample_rate=360.0)
     assert len(signals) == 2
     np.testing.assert_array_equal(signals[0].samples, [10.0, 20.0, 30.0])
     assert signals[1].sample_rate == 360.0
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no samples$"):
+        read_binary_record(path)
+    path.write_bytes(b"\x01\x02\x03\x04")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated format-212"):
+        read_binary_record(path)
 
 
-def test_record_header_validation():
-    with pytest.raises(ValueError):
-        RecordHeader(signal_count=0)
-    with pytest.raises(ValueError):
-        RecordHeader(sample_rate=-1)
+def test_record_header_validation(tmp_path):
+    path = tmp_path / "rec.dat"
+    path.write_bytes(pack_format212([[10, 20, 30], [-1, -2, -3]]))
+    with pytest.raises(ValueError, match="signal_count must be at least 1"):
+        read_binary_record(path, signal_count=0)
+    with pytest.raises(ValueError, match="sample_rate must be positive"):
+        read_binary_record(path, sample_rate=-1)
 
 
 # --- text signals -------------------------------------------------------------------
@@ -131,65 +139,75 @@ def test_read_text_signal_empty(tmp_path):
 
 # --- segmentation ---------------------------------------------------------------------
 
+def make_record(n: int) -> Signal:
+    return Signal(np.arange(float(n)), 360.0)
+
+
+def cut_whole_record(n: int, length: int, stride: int | None = None):
+    """Windows of an n-sample ramp under one span covering the whole record."""
+    spans = [LabelSpan("r", 0, n, "x")]
+    segments, skipped, dropped = load_labeled_segments({"r": make_record(n)}, spans, length, stride)
+    assert skipped == 0
+    assert segments.samples.shape == (len(segments), length)
+    assert segments.labels == ["x"] * len(segments)
+    assert segments.record_ids == ["r"] * len(segments)
+    for row, start in zip(segments.samples, segments.starts):
+        np.testing.assert_array_equal(row, np.arange(start, start + length))
+    return segments, dropped
+
+
 def test_segment_exact_multiples():
-    windows, dropped = segment_record(Signal(np.arange(2160.0), 360.0), 720, 720)
-    assert [start for start, _ in windows] == [0, 720, 1440]
+    segments, dropped = cut_whole_record(2160, 720, 720)
+    assert segments.starts == [0, 720, 1440]
     assert dropped == 0
-    assert all(len(w) == 720 for _, w in windows)
 
 
 def test_segment_short_record_drops_partial():
-    windows, dropped = segment_record(Signal(np.arange(719.0), 360.0), 720)
-    assert windows == []
+    segments, dropped = cut_whole_record(719, 720)
+    assert len(segments) == 0
     assert dropped == 1
 
 
 def test_segment_overlapping_stride():
-    windows, dropped = segment_record(Signal(np.arange(1440.0), 360.0), 720, 360)
-    assert [start for start, _ in windows] == [0, 360, 720]
+    segments, dropped = cut_whole_record(1440, 720, 360)
+    assert segments.starts == [0, 360, 720]
     assert dropped == 1
 
 
 def test_segment_parameter_validation():
-    s = Signal(np.arange(10.0), 360.0)
-    with pytest.raises(ValueError):
-        segment_record(s, 0)
-    with pytest.raises(ValueError):
-        segment_record(s, 5, 0)
+    signals = {"r": make_record(10)}
+    with pytest.raises(ValueError, match="segment length must be at least 1"):
+        load_labeled_segments(signals, [], 0)
+    with pytest.raises(ValueError, match="stride must be at least 1"):
+        load_labeled_segments(signals, [], 5, 0)
 
 
 @given(st.integers(1, 300), st.integers(1, 80), st.integers(1, 80))
 @settings(max_examples=80)
 def test_segment_accounting(n, length, stride):
-    signal = Signal(np.arange(float(n)), 360.0)
-    windows, dropped = segment_record(signal, length, stride)
+    segments, dropped = cut_whole_record(n, length, stride)
     # oracle: brute-force enumeration of fitting windows
     expected_starts = [s for s in range(0, n, stride) if s + length <= n]
-    assert [start for start, _ in windows] == expected_starts
-    next_start = len(windows) * stride
+    assert segments.starts == expected_starts
+    next_start = len(segments) * stride
     assert dropped == (1 if next_start < n else 0)
-    for start, window in windows:
-        np.testing.assert_array_equal(window.samples, np.arange(start, start + length))
 
 
 # --- labeling -----------------------------------------------------------------------------
 
-def make_record(n: int) -> Signal:
-    return Signal(np.arange(float(n)), 360.0)
-
-
 def test_label_attachment_and_skip():
     spans = [LabelSpan("r1", 0, 720, "Normal"), LabelSpan("r1", 720, 1440, "AFIB")]
     segments, skipped, dropped = load_labeled_segments({"r1": make_record(2160)}, spans, 720)
-    assert [(s.label, s.start) for s in segments] == [("Normal", 0), ("AFIB", 720)]
+    assert list(zip(segments.labels, segments.starts)) == [("Normal", 0), ("AFIB", 720)]
     assert skipped == 1
     assert dropped == 0
-    assert segments[0].record_id == "r1"
+    assert segments.record_ids == ["r1", "r1"]
 
 
 def test_empty_sidecar_labels_nothing():
     segments, skipped, dropped = load_labeled_segments({"r1": make_record(2160)}, [], 720)
-    assert segments == []
+    assert len(segments) == 0
+    assert segments.samples.shape == (0, 720)
     assert skipped == 3
     assert dropped == 0
 
@@ -211,7 +229,7 @@ def test_conflicting_labels_rejected():
 def test_same_label_overlap_is_fine():
     spans = [LabelSpan("r1", 0, 720, "Normal"), LabelSpan("r1", 0, 1440, "Normal")]
     segments, _, _ = load_labeled_segments({"r1": make_record(1440)}, spans, 720)
-    assert [s.label for s in segments] == ["Normal", "Normal"]
+    assert segments.labels == ["Normal", "Normal"]
 
 
 def test_unknown_record_rejected():
