@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiment as exp
 from .distribution import LabeledFeatureSet, evaluate_distribution
-from .encoding import EncoderSpec, SymbolSequence, encode
+from .encoding import EncoderSpec, SymbolSequence, check_zero_tol, encode
 from .features import extract_features, lz_complexity, shannon_entropy
 from .filtering import (
     PaddingPlan,
@@ -104,10 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=sorted(_FILTER_KINDS), default="bandpass")
     p.add_argument("--pad-before", type=int, default=65)
     p.add_argument("--pad-after", type=int, default=65)
-    p.add_argument("--center-hz", type=float, default=8.0)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--response", default=None, help="write magnitude/phase response CSV")
-    p.add_argument("--response-points", type=int, default=512)
     _add_text_signal_flags(p)
     p.set_defaults(func=cmd_filter)
 
@@ -184,11 +182,11 @@ def cmd_filter(args) -> int:
     coeffs = _FILTER_KINDS[args.kind]()
     try:
         plan = PaddingPlan(args.pad_before, args.pad_after)
-        compensation_plan(coeffs, args.sample_rate, plan, args.center_hz)
+        compensation_plan(coeffs, args.sample_rate, plan)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.response:
-        freqs = np.linspace(1e-3, args.sample_rate / 2 - 1e-3, args.response_points)
+        freqs = np.linspace(1e-3, args.sample_rate / 2 - 1e-3, 512)
         h = frequency_response(coeffs, 2.0 * math.pi * freqs / args.sample_rate)
         lines = ["freq_hz,magnitude,phase_rad"]
         lines += [
@@ -201,7 +199,7 @@ def cmd_filter(args) -> int:
     if args.input is None:
         raise UsageError("filter needs an input signal or --response")
     signal = _read_signal(args)
-    out = filter_compensated(coeffs, signal, plan, args.center_hz)
+    out = filter_compensated(coeffs, signal, plan)
     text = "\n".join(repr(float(v)) for v in out.samples) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -214,6 +212,7 @@ def cmd_encode(args) -> int:
     try:
         deviation = None if args.deviation is None else exp.parse_fraction(args.deviation)
         spec = EncoderSpec(args.method, args.alphabet, deviation)
+        check_zero_tol(args.zero_tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     seq = encode(_read_signal(args), spec, args.zero_tol)
@@ -388,7 +387,10 @@ def cmd_synth(args) -> int:
     else:
         centers = _ring_centers(args.classes)
     names = args.names.split(",") if args.names else None
-    dataset = exp.make_clusters(centers, args.per_class, args.spread, args.seed, names)
+    try:
+        dataset = exp.make_clusters(centers, args.per_class, args.spread, args.seed, names)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = evaluate_distribution(dataset, args.mode)
     print(report.to_text(), end="")
     if args.out:

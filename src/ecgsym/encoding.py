@@ -11,6 +11,7 @@ of symbol rows, each bit for bit the encoding of that row alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +94,20 @@ class EncoderSpec:
         return f"threshold-{kind}(E={self.deviation:g})"
 
 
+def check_zero_tol(zero_tol: float) -> None:
+    """Raise unless the slope encoders' flat-band half-width is finite and
+    non-negative; every comparison with NaN is false, so NaN would
+    otherwise pass as a flat band that no step falls outside."""
+    if not 0 <= zero_tol < math.inf:
+        raise ValueError(f"zero_tol must be finite and non-negative, not {zero_tol!r}")
+
+
 def _steps(signal, zero_tol: float) -> np.ndarray:
     """Differences between consecutive samples of each row."""
     x = _samples(signal)
     if x.shape[-1] < 2:
         raise ValueError("segment too short for slope encoding")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
+    check_zero_tol(zero_tol)
     return np.diff(x, axis=-1)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .distribution import DistributionReport, LabeledFeatureSet, evaluate_distribution
-from .encoding import SLOPE, THRESHOLD, EncoderSpec, encode
+from .encoding import SLOPE, THRESHOLD, EncoderSpec, check_zero_tol, encode
 from .features import extract_features, min_valid_length
 from .filtering import (
     DEFAULT_SAMPLE_RATE,
@@ -175,6 +175,7 @@ class ExperimentConfig:
         plan = PaddingPlan(self.pad_lead, self.pad_trail)
         if self.apply_filtering and not self.feature_files:
             compensation_plan(make_bandpass(), self.sample_rate, plan)
+        check_zero_tol(self.zero_tol)
         if self.mode not in ("forall", "exists"):
             raise ValueError("mode must be 'forall' or 'exists'")
 
@@ -239,12 +240,14 @@ def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) ->
     m = centers.shape[0]
     if m < 2:
         raise ValueError("need at least two cluster centers")
+    if not np.isfinite(centers).all():
+        raise ValueError("cluster centers must be finite")
     sizes = np.broadcast_to(np.asarray(per_class, dtype=int), (m,))
     spreads = np.broadcast_to(np.asarray(spread, dtype=float), (m,))
     if (sizes < 1).any():
         raise ValueError("per_class must be at least 1")
-    if (spreads < 0).any():
-        raise ValueError("spread must be non-negative")
+    if not (np.isfinite(spreads) & (spreads >= 0)).all():
+        raise ValueError("spread must be finite and non-negative")
     if names is None:
         names = [f"C{i + 1}" for i in range(m)]
     elif len(names) != m:
@@ -299,7 +302,12 @@ def _ingest(config: ExperimentConfig):
         signals, spans, config.segment_length, config.stride
     )
     if not segments:
-        raise ValueError("no labeled segments after ingestion")
+        if not spans:
+            raise ValueError(f"no labeled segments: sidecar {config.sidecar} holds no label spans")
+        raise ValueError(
+            f"no labeled segments: the {len(spans)} label span(s) of sidecar {config.sidecar} "
+            f"cover none of the {skipped} windows cut"
+        )
     present = set(segments.labels)
     for label in sorted({s.label for s in spans}):
         if label not in present:

@@ -10,13 +10,12 @@ Filtering works along the last axis: a :class:`Signal` holds one segment
 or an (N, L) stack at one sample rate, and a stack gives each row bit for
 bit as filtering that row alone does.
 
-Each stock denominator is a power of (1 - z^-1) that cancels exactly
-against numerator zeros at z = 1, so every stock filter is a pure FIR
-with integer taps and one integer divisor (the band-pass: 42 taps over
-1152). Filtering is then one convolution and one division, and an
-integer-valued input gives each output as the correctly rounded K/divisor
-for an integer K. Only a denominator that does not cancel, which a
-library caller may supply, runs the direct-form feedback recursion.
+Every filter is FIR. A denominator must be a constant or cancel to one
+against numerator zeros at z = 1; each stock denominator is a power of
+(1 - z^-1) that does, so every stock filter has integer taps and one
+integer divisor (the band-pass: 42 taps over 1152). Filtering is one
+convolution and one division, and an integer-valued input gives each
+output as the correctly rounded K/divisor for an integer K.
 """
 
 from __future__ import annotations
@@ -59,42 +58,43 @@ class Signal:
         return self.samples.size
 
 
-def _cancel_unit_poles(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide (1 - z^-1) out of both polynomials for as long as both divide exactly.
+def _cancel_unit_poles(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The taps left once (1 - z^-1) is divided out of both polynomials until
+    the denominator is its leading coefficient alone.
 
     The division runs in exact rationals: a step is taken only when both
     coefficient sums are exactly zero (no remainder) and every quotient
-    coefficient is a float.
+    coefficient is a float. A denominator that does not reduce so raises.
     """
     # integral values as ints, whose arithmetic is just as exact and far faster
     b, a = ([int(v) if v.is_integer() else Fraction(v) for v in c.tolist()] for c in (num, den))
-    while len(b) > 1 and len(a) > 1 and sum(b) == 0 and sum(a) == 0:
+    while len(a) > 1:
         qb, qa = list(accumulate(b[:-1])), list(accumulate(a[:-1]))
-        if any(float(q) != q for q in qb + qa):
-            break
+        if len(b) == 1 or sum(b) != 0 or sum(a) != 0 or any(float(q) != q for q in qb + qa):
+            raise ValueError(
+                f"denominator {den.tolist()} does not cancel to a constant: "
+                "only FIR filters are supported"
+            )
         b, a = qb, qa
-    return np.array([float(v) for v in b]), np.array([float(v) for v in a])
+    return np.array([float(v) for v in b])
 
 
 @dataclass(eq=False)
 class FilterCoefficients:
-    """Rational transfer-function coefficients.
+    """FIR transfer-function coefficients in rational form.
 
     The denominator is normalized on construction so its leading
     coefficient is 1; the numerator is rescaled accordingly. Common
-    (1 - z^-1) factors are also cancelled, where the division is exact.
-    The filter then runs as ``taps`` (the reduced numerator at the given
-    scale) over ``divisor`` (the leading denominator coefficient), followed
-    by the recursion on ``feedback``, the reduced normalized denominator.
-    ``feedback`` is ``[1.0]`` for every stock filter, which is then a pure
-    FIR.
+    (1 - z^-1) factors are cancelled exactly, and the denominator must
+    cancel to a constant: any other raises ``ValueError``. The filter then
+    runs as ``taps`` (the reduced numerator at the given scale) over
+    ``divisor`` (the leading denominator coefficient).
     """
 
     numerator: np.ndarray
     denominator: np.ndarray
     taps: np.ndarray = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
-    feedback: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         num = np.asarray(self.numerator, dtype=float)
@@ -107,9 +107,8 @@ class FilterCoefficients:
             raise ValueError("leading denominator coefficient must be nonzero")
         self.numerator = num / den[0]
         self.denominator = den / den[0]
-        self.taps, rest = _cancel_unit_poles(num, den)
+        self.taps = _cancel_unit_poles(num, den)
         self.divisor = float(den[0])
-        self.feedback = rest / den[0]
 
     @property
     def order(self) -> int:
@@ -164,11 +163,9 @@ def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
     input: the rows are convolved as one flattened sequence, and the first
     ``taps.size - 1`` outputs of each row, which would read the end of the
     row before, are redone from the row's head led by that many zeros. For
-    a stock filter (pure FIR after cancellation) with integer-valued input
-    and max|x| * sum|taps| < 2**53, every partial sum is an exact integer
-    K, so each output is the correctly rounded K / divisor. Only when
-    ``coeffs.feedback`` has more than one coefficient does the per-sample
-    feedback recursion run.
+    integer taps (every stock filter) with integer-valued input and
+    max|x| * sum|taps| < 2**53, every partial sum is an exact integer K,
+    so each output is the correctly rounded K / divisor.
     """
     x = signal.samples
     if x.size == 0:
@@ -182,14 +179,6 @@ def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
         redone = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)
         y[:, :head] = redone[:, history:]
     y /= coeffs.divisor
-    a = coeffs.feedback
-    if a.size > 1:
-        # Feedback cannot be vectorized along a row; it runs only for
-        # denominators that do not cancel, and those are short.
-        n_fb = a.size - 1
-        for n in range(y.shape[1]):
-            for j in range(1, min(n, n_fb) + 1):
-                y[:, n] -= a[j] * y[:, n - j]
     return Signal(y.reshape(x.shape), signal.sample_rate)
 
 
@@ -207,40 +196,33 @@ def _poly_sums(c: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def frequency_response(coeffs: FilterCoefficients, omegas) -> np.ndarray:
     """Evaluate the transfer function at angular frequencies (rad/sample).
 
-    The cancelled form taps / (divisor * feedback) is evaluated, so no
-    cancelled zero/pole pair is summed in floating point.
+    The cancelled form taps / divisor is evaluated, so no cancelled
+    zero/pole pair is summed in floating point.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    num, _ = _poly_sums(coeffs.taps, w)
-    den, _ = _poly_sums(coeffs.feedback, w)
-    return num / (coeffs.divisor * den)
+    return _poly_sums(coeffs.taps, w)[0] / coeffs.divisor
 
 
 def _response_and_delay(coeffs: FilterCoefficients, omega: float) -> tuple[complex, float]:
-    """H and the analytic group delay Re(B'/B) - Re(A'/A) at omega in (0, pi).
+    """H and the analytic group delay Re(B'/B) at omega in (0, pi).
 
-    B is the cancelled numerator (the taps) and A the remaining feedback
-    polynomial; the cancelled factors add the same delay to both and drop
-    out. A zero or pole at ``omega`` raises, since the phase is undefined
-    there.
+    B is the cancelled numerator (the taps); the cancelled factors add the
+    same delay to numerator and denominator and drop out. A zero at
+    ``omega`` raises, since the phase is undefined there.
     """
     if not 0.0 < omega < math.pi:
         raise ValueError("omega must lie strictly between 0 and pi")
-    parts = []
-    for c, kind in ((coeffs.taps, "zero"), (coeffs.feedback, "pole")):
-        total, slope = (v[0] for v in _poly_sums(c, np.array([omega])))
-        if abs(total) <= 1e-12 * np.abs(c).sum():
-            raise ValueError(f"phase undefined at omega={omega}: transfer-function {kind}")
-        parts.append((total, (slope / total).real))
-    (num, tau_num), (den, tau_den) = parts
-    return num / (coeffs.divisor * den), float(tau_num - tau_den)
+    total, slope = (v[0] for v in _poly_sums(coeffs.taps, np.array([omega])))
+    if abs(total) <= 1e-12 * np.abs(coeffs.taps).sum():
+        raise ValueError(f"phase undefined at omega={omega}: transfer-function zero")
+    return total / coeffs.divisor, float((slope / total).real)
 
 
 def group_delay(coeffs: FilterCoefficients, omega: float) -> float:
     """Negative derivative of the unwrapped phase response, in samples.
 
-    ``omega`` must lie strictly inside (0, pi) and away from zeros and
-    poles of the transfer function.
+    ``omega`` must lie strictly inside (0, pi) and away from zeros of the
+    transfer function.
     """
     return _response_and_delay(coeffs, omega)[1]
 
@@ -276,10 +258,9 @@ def compensation_plan(
     coeffs: FilterCoefficients,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     plan: PaddingPlan | None = None,
-    center_hz: float = PASSBAND_CENTER_HZ,
 ) -> tuple[PaddingPlan, int]:
     """Pad lengths and extraction shift (the rounded :func:`alignment_delay`
-    at the passband center, evaluated once) of compensated filtering.
+    at ``PASSBAND_CENTER_HZ``, evaluated once) of compensated filtering.
 
     The default ``plan`` pads both sides by the larger of the coefficient
     counts and the rounded-up delay, plus a margin: 65 for the band-pass.
@@ -287,7 +268,7 @@ def compensation_plan(
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
-    delay = alignment_delay(coeffs, 2.0 * math.pi * center_hz / sample_rate)
+    delay = alignment_delay(coeffs, 2.0 * math.pi * PASSBAND_CENTER_HZ / sample_rate)
     if plan is None:
         k = max(coeffs.numerator.size, coeffs.denominator.size, math.ceil(delay)) + _PAD_MARGIN
         plan = PaddingPlan(k, k)
@@ -304,7 +285,6 @@ def filter_compensated(
     coeffs: FilterCoefficients,
     signal: Signal,
     plan: PaddingPlan | None = None,
-    center_hz: float = PASSBAND_CENTER_HZ,
 ) -> Signal:
     """Filter each (non-empty) row without losing samples to transient or delay.
 
@@ -312,14 +292,13 @@ def filter_compensated(
     and its last sample on the right, filtered with :func:`apply_filter`,
     and a window of the row's length is extracted starting at
     ``lead + shift``, both from one :func:`compensation_plan` call with
-    ``plan`` and ``center_hz`` (the frequency at which the alignment delay
-    is evaluated). The result has the shape of the input and is
-    phase-aligned with it at the passband center.
+    ``plan``. The result has the shape of the input and is phase-aligned
+    with it at the passband center.
     """
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
-    plan, shift = compensation_plan(coeffs, signal.sample_rate, plan, center_hz)
+    plan, shift = compensation_plan(coeffs, signal.sample_rate, plan)
     padded = np.pad(np.atleast_2d(x), ((0, 0), (plan.lead, plan.trail)), mode="edge")
     y = apply_filter(coeffs, Signal(padded, signal.sample_rate)).samples
     del padded  # freed before the window is copied out: two stacks are held at most

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import subprocess
@@ -111,6 +112,50 @@ def test_filter_response_and_output(tmp_path):
     lines = resp.read_text().strip().splitlines()
     assert lines[0] == "freq_hz,magnitude,phase_rad"
     assert len(lines) == 1 + 512
+
+
+# sha256 of each kind's --response CSV and of its filtered output on an
+# integer-valued signal and on a signal in steps of 1/64 (non-integer, but
+# every partial sum is exact, so neither output depends on summation order)
+_FILTER_DIGESTS = {
+    "bandpass": (
+        "7d1e3eaec9bd883ba23537a3fabf799f4e5143e34f70dd3a6e9d13a58d5a76b4",
+        "9b77534a87dccb66f454352f17ed2f4105f91714dbd972426e4f1005b4cc7faa",
+        "bbf06711f965b706387593c51577c37b0f6749806e31423e04dc3404aaef62de",
+    ),
+    "lowpass": (
+        "0a4f7780bd0f7f5e168a07642f8838ac93da3f2909c2adc848ded3feeac5bf7e",
+        "ea244bcfb1e9d74ec86c25f68128722a7d34b5f6b3484ed6df1b123178ed52fc",
+        "3355afba89876ffe62af6eb242ab143612092f4844e5e38d45a0a333ce2d38de",
+    ),
+    "highpass": (
+        "49e2080dddda24259c2fc887d8011452acd1d4a9a3d2707814f6d1288442fff7",
+        "eb0cf348682b98172756e8608fdbcb71787e5e2548837985bd48d4dfa001b95f",
+        "22193551584f39abe04a525149b861c531ad0b02b9038f11b88ec05dedb37955",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FILTER_DIGESTS))
+def test_filter_outputs_are_pinned(tmp_path, capsys, kind):
+    ints = (np.arange(720) * 7919) % 1021 - 510
+    ints[200:260] = ints[200]  # a flat stretch
+    write_signal(tmp_path / "int.txt", ints)
+    write_signal(tmp_path / "frac.txt", (ints * 13 % 4096 - 2048) / 64)
+    digests = []
+    for name in ("int", "frac"):
+        resp = tmp_path / f"{name}.csv"
+        assert main(["filter", str(tmp_path / f"{name}.txt"), "--kind", kind,
+                     "--response", str(resp)]) == 0
+        head, _, body = capsys.readouterr().out.partition("\n")
+        assert head == f"response written to {resp}"
+        assert len(body.splitlines()) == 720
+        if name == "int":
+            digests.append(hashlib.sha256(resp.read_bytes()).hexdigest())
+        else:
+            assert resp.read_bytes() == (tmp_path / "int.csv").read_bytes()
+        digests.append(hashlib.sha256(body.encode()).hexdigest())
+    assert tuple(digests) == _FILTER_DIGESTS[kind]
 
 
 def test_filter_requires_input_or_response(capsys):
@@ -305,6 +350,22 @@ def test_ingest_rejects_duplicate_record_ids_and_empty_classes(dataset, capsys):
     assert "'erratic' ended up empty" in capsys.readouterr().err
 
 
+def test_ingest_without_labeled_segments_names_the_sidecar(dataset, capsys):
+    records = [str(dataset / "r1.txt"), str(dataset / "r2.txt")]
+    empty = dataset / "empty.csv"
+    empty.write_text("# no spans\n")
+    short = dataset / "short.csv"
+    short.write_text("r1,0,700,steady\nr2,10,719,erratic\n")
+    for sidecar, message in (
+        (empty, f"no labeled segments: sidecar {empty} holds no label spans"),
+        (short, f"no labeled segments: the 2 label span(s) of sidecar {short} "
+                "cover none of the 4 windows cut"),
+    ):
+        for command in ("ingest", "run"):
+            assert main([command, *records, "--sidecar", str(sidecar)]) == 2
+            assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 def test_run_end_to_end(dataset, capsys):
     out = dataset / "results"
     code = main(
@@ -494,11 +555,15 @@ _BAD_RECORD_FLAGS = [
     (["--format", "212", "--channel", "-1"], "channel must be non-negative"),
     (["--format", "212", "--signal-count", "0"], "signal_count must be at least 1"),
 ]
-_BAD_RUN_FLAGS = [
+_BAD_PAD_FLAGS = [
     (["--pad-before", "-1"], "pad lengths must be non-negative"),
     (["--pad-after", "-1"], "pad lengths must be non-negative"),
     (["--pad-before", "10"], "insufficient padding: need lead >= 44 and trail >= 21"),
     (["--pad-after", "5"], "insufficient padding: need lead >= 44 and trail >= 21"),
+]
+_BAD_RUN_FLAGS = _BAD_PAD_FLAGS + [
+    (["--zero-tol", value], "zero_tol must be finite and non-negative")
+    for value in ("nan", "inf", "-1")
 ]
 
 
@@ -538,7 +603,7 @@ def test_short_padding_is_accepted_without_filtering(dataset):
     "flags, message",
     [
         pytest.param(flags, message, id=" ".join(flags))
-        for flags, message in _BAD_RUN_FLAGS
+        for flags, message in _BAD_PAD_FLAGS
         + [(["--sample-rate", "0"], "sample_rate must be positive")]
     ],
 )
@@ -546,6 +611,35 @@ def test_filter_bad_value_is_usage_error_before_reading(tmp_path, capsys, flags,
     # the input does not exist, so reading it first would report that instead
     assert main(["filter", str(tmp_path / "missing.txt"), *flags]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, value):
+    code = main(["encode", str(tmp_path / "missing.txt"), "--method", "slope",
+                 "--alphabet", "2", "--zero-tol", value])
+    assert code == 1
+    assert "zero_tol must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(flags, message, id=" ".join(flags))
+        for flags, message in [
+            (["--classes", "1"], "need at least two cluster centers"),
+            (["--per-class", "0"], "per_class must be at least 1"),
+            (["--spread", "-1"], "spread must be finite and non-negative"),
+            (["--spread", "nan"], "spread must be finite and non-negative"),
+            (["--spread", "inf"], "spread must be finite and non-negative"),
+            (["--centers", "0,0;nan,1"], "cluster centers must be finite"),
+            (["--names", "a,b"], "need one name per center"),
+        ]
+    ],
+)
+def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags, message):
+    assert main(["synth", *flags, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("input_kind", ["records", "features"])

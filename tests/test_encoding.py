@@ -100,8 +100,10 @@ def test_ternary_threshold_rejects_negative_deviation():
 
 
 def test_negative_zero_tol_rejected():
-    with pytest.raises(ValueError):
-        encode_slope_binary([0.0, 1.0], zero_tol=-0.1)
+    # NaN too: it fails every comparison, so each step would read as flat
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="zero_tol must be finite and non-negative"):
+            encode_slope_binary([0.0, 1.0], zero_tol=bad)
 
 
 def test_encoder_spec_validation():

@@ -72,10 +72,12 @@ def test_bandpass_expansion():
 
 
 def test_denominator_normalization():
-    c = FilterCoefficients(np.array([2.0, 4.0]), np.array([2.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(c.numerator, [1.0, 2.0])
-    np.testing.assert_array_equal(c.denominator, [1.0, 0.0, 1.0])
+    c = FilterCoefficients(np.array([2.0, 0.0, -2.0]), np.array([2.0, -2.0]))
+    np.testing.assert_array_equal(c.numerator, [1.0, 0.0, -1.0])
+    np.testing.assert_array_equal(c.denominator, [1.0, -1.0])
     assert c.order == 2
+    np.testing.assert_array_equal(c.taps, [2.0, 2.0])
+    assert c.divisor == 2.0
 
 
 def test_coefficients_validation():
@@ -96,7 +98,6 @@ def test_coefficients_validation():
 def test_stock_filters_cancel_to_integer_fir(make, n_taps, divisor, abs_sum, tap_sum, cancelled):
     c = make()
     assert c.taps.size == n_taps and c.divisor == divisor
-    np.testing.assert_array_equal(c.feedback, [1.0])
     np.testing.assert_array_equal(c.taps, np.round(c.taps))
     assert np.abs(c.taps).sum() == abs_sum and c.taps.sum() == tap_sum
     # taps * (1 - z^-1)^k over the divisor is the rational numerator again
@@ -107,15 +108,19 @@ def test_stock_filters_cancel_to_integer_fir(make, n_taps, divisor, abs_sum, tap
 
 
 def test_cancellation_only_where_exact():
-    # (1 - z^-1) is no factor of 1 - 0.9 z^-1: nothing cancels
-    c = FilterCoefficients([1.0, -1.0], [1.0, -0.9])
-    np.testing.assert_array_equal(c.taps, [1.0, -1.0])
-    np.testing.assert_array_equal(c.feedback, [1.0, -0.9])
-    # the sum is exactly 0, but the quotient 2^60 + 1 has no float
-    big = 2.0**60
-    c = FilterCoefficients([big, 1.0, -1.0, -big], [1.0, -1.0])
-    np.testing.assert_array_equal(c.taps, [big, 1.0, -1.0, -big])
-    np.testing.assert_array_equal(c.feedback, [1.0, -1.0])
+    # only a denominator that cancels exactly to a constant is accepted
+    cases = [
+        # (1 - z^-1) is no factor of 1 - 0.9 z^-1: nothing cancels
+        ([1.0, -1.0], [1.0, -0.9]),
+        # the sum is exactly 0, but the quotient 2^60 + 1 has no float
+        ([2.0**60, 1.0, -1.0, -(2.0**60)], [1.0, -1.0]),
+        # no zero at z = 1 to cancel against
+        ([2.0, 4.0], [2.0, 0.0, 2.0]),
+        ([1.0], [1.0, -1.0]),
+    ]
+    for b, a in cases:
+        with pytest.raises(ValueError, match="does not cancel to a constant"):
+            FilterCoefficients(b, a)
 
 
 def test_non_finite_coefficients_rejected():
@@ -166,22 +171,6 @@ def test_matches_scipy_lfilter():
     mine = apply_filter(bp, Signal(x, FS)).samples
     ref = sp.lfilter(bp.numerator, bp.denominator, x)
     np.testing.assert_allclose(mine, ref, atol=1e-8)
-
-
-@pytest.mark.parametrize(
-    "b, a",
-    [
-        ([0.5, 0.25], [1.0, -0.5]),
-        # (1 - z^-1) cancels once, the pole at 0.5 stays
-        ([1.0, 0.0, -1.0], [1.0, -1.5, 0.5]),
-    ],
-)
-def test_recursive_fallback_matches_scipy_lfilter(b, a):
-    c = FilterCoefficients(b, a)
-    assert c.feedback.size == 2
-    x = np.random.default_rng(8).standard_normal(400)
-    mine = apply_filter(c, Signal(x, FS)).samples
-    np.testing.assert_allclose(mine, sp.lfilter(b, a, x), atol=1e-12)
 
 
 def test_integer_record_filters_exactly():
