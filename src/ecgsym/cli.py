@@ -363,7 +363,7 @@ def cmd_pairs(args) -> int:
     if pairs is None:
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     _check_pair_names(pairs, names)
-    table = exp.pairwise_table(result, pairs, config.mode)
+    table = exp.pairwise_table(result, pairs)
     text = exp.pair_table_text(table)
     if config.out_dir:
         out = Path(config.out_dir)

@@ -41,10 +41,15 @@ class LabeledFeatureSet:
     @classmethod
     def from_rows(cls, labels, points) -> "LabeledFeatureSet":
         """Group (label, point) rows, preserving first-appearance order."""
-        grouped: dict[str, list] = {}
-        for label, point in zip(labels, points):
-            grouped.setdefault(str(label), []).append(point)
-        return cls({name: np.array(rows, dtype=float) for name, rows in grouped.items()})
+        labels = list(map(str, labels))
+        points = np.asarray(points, dtype=float)
+        if len(points) != len(labels):
+            raise ValueError(f"{len(labels)} labels for {len(points)} points")
+        index = {name: i for i, name in enumerate(dict.fromkeys(labels))}
+        codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+        order = np.argsort(codes, kind="stable")
+        grouped = np.split(points[order], np.cumsum(np.bincount(codes))[:-1])
+        return cls(dict(zip(index, grouped)))
 
     def subset(self, names) -> "LabeledFeatureSet":
         missing = [n for n in names if n not in self.classes]
@@ -78,17 +83,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
-    """Overlapped elements per class, all counted from one (N, m) table of
-    every element's distance to every class centroid.
-
-    In "forall" mode an element counts when its own-centroid distance is
-    >= its distance to every other centroid; in "exists" mode one other
-    centroid at most as far away suffices.
+def _at_least_as_far(dataset: LabeledFeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """Two (N, m) masks over the elements, class after class: [i, j] of the
+    first is whether element i lies at least as far from its own class
+    centroid as from class j's, taken from one table of every element's
+    distance to every centroid; the second marks each element's own class.
     """
-    _check_mode(mode)
-    if len(dataset.classes) < 2:
-        raise ValueError("need at least two classes")
     classes = list(dataset.classes.values())
     points = np.concatenate(classes)
     dists = np.empty((len(points), len(classes)))
@@ -97,12 +97,39 @@ def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
         diff = points - centroid(pts)
         dists[:, j] = np.sqrt((diff * diff).sum(axis=1))
     own = np.repeat(np.eye(len(classes), dtype=bool), dataset.sizes, axis=0)
-    cond = dists[own][:, None] >= dists
+    return dists[own][:, None] >= dists, own
+
+
+def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
+    """Overlapped elements per class.
+
+    In "forall" mode an element counts when its own-centroid distance is
+    >= its distance to every other centroid; in "exists" mode one other
+    centroid at most as far away suffices.
+    """
+    _check_mode(mode)
+    if len(dataset.classes) < 2:
+        raise ValueError("need at least two classes")
+    cond, own = _at_least_as_far(dataset)
     if mode == "forall":
         hits = (cond | own).all(axis=1)
     else:
         hits = (cond & ~own).any(axis=1)
     return own[hits].sum(axis=0)
+
+
+def pair_overlap_counts(dataset: LabeledFeatureSet) -> np.ndarray:
+    """(m, m) counts from one distance table: [a, b] is the number of
+    class-a elements at least as far from their own centroid as from
+    class b's.
+
+    With classes a and b alone, b's centroid is the only other one, so in
+    either mode the pair's overlap is [a, b] + [b, a]. Its centroids and
+    distances are those of ``dataset.subset([a, b])``, so the counts are too.
+    """
+    cond, _ = _at_least_as_far(dataset)
+    bounds = np.cumsum(dataset.sizes)[:-1]
+    return np.stack([block.sum(axis=0) for block in np.split(cond, bounds)])
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,18 @@ without signal data.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .distribution import DistributionReport, LabeledFeatureSet, evaluate_distribution
+from .distribution import (
+    DistributionReport,
+    LabeledFeatureSet,
+    evaluate_distribution,
+    pair_overlap_counts,
+)
 from .encoding import SLOPE, THRESHOLD, EncoderSpec, check_zero_tol, encode
 from .features import extract_features, min_valid_length
 from .filtering import (
@@ -31,8 +35,11 @@ from .filtering import (
 )
 from .records import (
     DEFAULT_SEGMENT_LENGTH,
+    numbered_rows,
+    parse_columns,
     read_binary_record,
     read_label_sidecar,
+    read_rows,
     read_text_signal,
     load_labeled_segments,
 )
@@ -182,12 +189,26 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class EncoderRun:
-    """Result of one grid entry: per-segment feature rows, in segment order,
+    """Result of one grid entry: each segment's label and (entropy,
+    complexity) point in segment order, the same points grouped by class,
     and the report."""
 
     label: str
-    rows: list[tuple[str, float, float]]
+    labels: list[str]
+    points: np.ndarray
+    features: LabeledFeatureSet
     report: DistributionReport
+
+    @property
+    def rows(self) -> list[tuple[str, float, float]]:
+        """(label, entropy, complexity) per segment, in segment order."""
+        return list(zip(self.labels, *self.points.T.tolist()))
+
+
+def evaluate_entry(label: str, labels, points, mode: str = "forall") -> EncoderRun:
+    """Group one entry's points by label once and evaluate the overlap."""
+    features = LabeledFeatureSet.from_rows(labels, points)
+    return EncoderRun(label, labels, points, features, evaluate_distribution(features, mode))
 
 
 @dataclass(eq=False)
@@ -209,29 +230,33 @@ def rank_entries(entries: list[EncoderRun]) -> list[int]:
 
 
 def load_features_csv(path, skip_header: bool = False):
-    """Read label,entropy,complexity rows; returns (labels, points)."""
-    labels, points = [], []
-    with open(path) as fh:
-        for row_no, raw in enumerate(fh, start=1):
-            if skip_header and row_no == 1:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"{path}: row {row_no} needs label,entropy,complexity")
-            try:
-                point = (float(parts[1]), float(parts[2]))
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no} has non-numeric features") from None
-            if not (math.isfinite(point[0]) and math.isfinite(point[1])):
-                raise ValueError(f"{path}: row {row_no} has non-finite features")
-            points.append(point)
-            labels.append(parts[0])
+    """Read label,entropy,complexity rows; returns (labels, (N, 2) points).
+
+    Both numeric columns are parsed in one pass (:func:`parse_columns`);
+    the rows are read one at a time only when that pass gives no values,
+    to name the first bad row or to take a literal that numpy rejects.
+    """
+    text, first = read_rows(path, skip_header)
+    labels = [line.partition(",")[0].strip() for line in text.split("\n") if line.strip()]
+    points = parse_columns(text, (1, 2), ",")
+    if points is not None and len(points) == len(labels) and text.count(",") == 2 * len(labels):
+        return labels, points
+    labels, rows = [], []
+    for row_no, line in numbered_rows(text, first):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise ValueError(f"{path}: row {row_no} needs label,entropy,complexity")
+        try:
+            point = (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ValueError(f"{path}: row {row_no} has non-numeric features") from None
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            raise ValueError(f"{path}: row {row_no} has non-finite features")
+        rows.append(point)
+        labels.append(parts[0])
     if not labels:
         raise ValueError(f"{path}: no feature rows")
-    return labels, points
+    return labels, np.array(rows)
 
 
 def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) -> LabeledFeatureSet:
@@ -257,10 +282,6 @@ def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) ->
     for name, center, size, sigma in zip(names, centers, sizes, spreads):
         classes[str(name)] = center + rng.normal(0.0, sigma, size=(int(size), centers.shape[1]))
     return LabeledFeatureSet(classes)
-
-
-def _feature_set(rows) -> LabeledFeatureSet:
-    return LabeledFeatureSet.from_rows([r[0] for r in rows], [r[1:] for r in rows])
 
 
 def _read_record_signal(path: str, config: ExperimentConfig) -> Signal:
@@ -322,12 +343,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     entry labeled 'precomputed' is produced.
     """
     if config.feature_files:
-        rows = []
+        labels, points = [], []
         for path in config.feature_files:
-            labels, points = load_features_csv(path, config.skip_header)
-            rows += [(label, h, c) for label, (h, c) in zip(labels, points)]
-        report = evaluate_distribution(_feature_set(rows), config.mode)
-        entries = [EncoderRun("precomputed", rows, report)]
+            file_labels, file_points = load_features_csv(path, config.skip_header)
+            labels += file_labels
+            points.append(file_points)
+        entries = [evaluate_entry("precomputed", labels, np.concatenate(points), config.mode)]
         skipped = dropped = 0
     else:
         _check_grid_lengths(config)
@@ -339,10 +360,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         entries = []
         for spec in config.encoders:
             fv = extract_features(encode(signal, spec, config.zero_tol))
-            rows = list(zip(segments.labels, fv.h_norm.tolist(), fv.c_norm.tolist()))
-            report = evaluate_distribution(_feature_set(rows), config.mode)
-            entries.append(EncoderRun(spec.label, rows, report))
-    counts = dict(Counter(label for label, _, _ in entries[0].rows))
+            points = np.column_stack((fv.h_norm, fv.c_norm))
+            entries.append(evaluate_entry(spec.label, segments.labels, points, config.mode))
+    counts = dict(zip(entries[0].features.names, entries[0].features.sizes))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out_dir is not None:
         write_reports(result.entries, config.out_dir)
@@ -360,18 +380,32 @@ class PairRow:
     overlap_per_element: float
 
 
-def pairwise_table(result: ExperimentResult, pairs, mode: str = "forall") -> list[PairRow]:
-    """Best encoder per class pair over the already-computed features."""
-    datasets = [(entry.label, _feature_set(entry.rows)) for entry in result.entries]
-    table = []
-    for first, second in pairs:
-        best_label, best_value = None, None
-        for label, dataset in datasets:
-            value = evaluate_distribution(dataset.subset([first, second]), mode).overlap_per_element
-            if best_value is None or value < best_value:
-                best_label, best_value = label, value
-        table.append(PairRow(first, second, best_label, best_value))
-    return table
+def pairwise_table(result: ExperimentResult, pairs) -> list[PairRow]:
+    """Best encoder per class pair over the already-computed features.
+
+    Each entry's counts for every pair come from one distance table of all
+    its classes (:func:`pair_overlap_counts`); a pair's value is bit for
+    bit the per-element overlap of its two classes evaluated alone, which
+    is the same in "forall" and "exists" mode.
+    """
+    pairs = list(pairs)
+    best: list[tuple[str | None, float | None]] = [(None, None)] * len(pairs)
+    for entry in result.entries:
+        index = {name: i for i, name in enumerate(entry.features.names)}
+        for first, second in pairs:
+            missing = [name for name in (first, second) if name not in index]
+            if missing:
+                raise ValueError(f"unknown class name(s): {', '.join(missing)}")
+            if first == second:
+                raise ValueError(f"pair {first!r} vs {second!r} names one class twice")
+        counts = pair_overlap_counts(entry.features)
+        sizes = entry.features.sizes
+        for k, (first, second) in enumerate(pairs):
+            a, b = index[first], index[second]
+            value = float(Fraction(int(counts[a, b] + counts[b, a]), sizes[a] + sizes[b]))
+            if best[k][1] is None or value < best[k][1]:
+                best[k] = (entry.label, value)
+    return [PairRow(a, b, label, value) for (a, b), (label, value) in zip(pairs, best)]
 
 
 def pair_table_text(table: list[PairRow]) -> str:

@@ -9,6 +9,7 @@ every record into one array, one row per window.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,56 @@ def read_binary_record(
     return [Signal(ch.astype(float), sample_rate) for ch in channels]
 
 
+def read_rows(path, skip_header: bool = False) -> tuple[str, int]:
+    """The text of a file after its optional header row, and the 1-based
+    number of its first row.
+
+    Rows are what iterating the file yields: the text split on ``\\n``
+    after universal-newline decoding (``str.splitlines`` would also split
+    on ``\\x0c``, ``\\x1c`` or ``\\u2028`` and so misnumber the rows).
+    """
+    with open(path) as fh:
+        if skip_header:
+            fh.readline()
+        return fh.read(), 2 if skip_header else 1
+
+
+def numbered_rows(text: str, first: int):
+    """(row number, stripped row) of every non-blank row of ``text``."""
+    for row_no, line in enumerate(text.split("\n"), start=first):
+        line = line.strip()
+        if line:
+            yield row_no, line
+
+
+def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = None):
+    """The given columns of the non-blank rows of ``text`` as an (N, k)
+    float array in one numpy pass, or None when that pass fails or finds
+    nan or inf.
+
+    Where the pass succeeds each value is what float() gives for its
+    field. The pass is not tried where numpy and ``str.split`` could cut a
+    row differently (a delimiter that is whitespace or longer than one
+    character), nor on text holding one of the separators ``\\x1c`` to
+    ``\\x1f``, which numpy strips around a number and float() rejects. On
+    None, callers read the rows one at a time: to name the first bad row,
+    or to take a literal that float() accepts and numpy rejects, such as
+    ``1_0``.
+    """
+    delimiter = delimiter or None
+    if delimiter is not None and (len(delimiter) != 1 or delimiter.isspace()):
+        return None
+    if not text.strip() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        values = np.loadtxt(
+            io.StringIO(text), delimiter=delimiter, usecols=columns, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def read_text_signal(
     path,
     column: int = 0,
@@ -100,31 +151,29 @@ def read_text_signal(
     ``delimiter=None`` splits on any whitespace. Raises with the 1-based
     row number when a row cannot be parsed or holds nan or inf.
     """
-    values = []
-    with open(path) as fh:
-        for row_no, line in enumerate(fh, start=1):
-            if skip_header and row_no == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(delimiter) if delimiter else line.split()
-            if column >= len(parts):
-                raise ValueError(f"{path}: row {row_no} has no column {column}")
-            try:
-                value = float(parts[column])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_no} column {column} is not a number: {parts[column]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {row_no} column {column} is not finite: {parts[column]!r}"
-                )
-            values.append(value)
-    if not values:
+    text, first = read_rows(path, skip_header)
+    values = parse_columns(text, (column,), delimiter)
+    if values is not None:
+        return Signal(values[:, 0], sample_rate)
+    samples = []
+    for row_no, line in numbered_rows(text, first):
+        parts = line.split(delimiter) if delimiter else line.split()
+        if column >= len(parts):
+            raise ValueError(f"{path}: row {row_no} has no column {column}")
+        try:
+            value = float(parts[column])
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {row_no} column {column} is not a number: {parts[column]!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{path}: row {row_no} column {column} is not finite: {parts[column]!r}"
+            )
+        samples.append(value)
+    if not samples:
         raise ValueError(f"{path}: no samples in column {column}")
-    return Signal(np.array(values), sample_rate)
+    return Signal(np.array(samples), sample_rate)
 
 
 @dataclass(frozen=True)

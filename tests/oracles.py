@@ -2,8 +2,8 @@
 
 Kept deliberately naive and structurally different from the library code
 so they can serve as oracles: phrase parsing by literal reproducibility
-scans over tuples, entropy by counter arithmetic, and overlap counting by
-plain loops.
+scans over tuples, entropy by counter arithmetic, overlap counting by
+plain loops, and text files read one row per loop step.
 """
 
 from __future__ import annotations
@@ -72,3 +72,60 @@ def overlap_counts(classes: dict, mode: str = "forall") -> dict:
             count += int(hit)
         result[name] = count
     return result
+
+
+def read_text_column(path, column: int = 0, delimiter=None, skip_header: bool = False) -> list:
+    """One column of a delimited text file, a row per loop step; raises
+    naming the 1-based row of the first bad one."""
+    values = []
+    with open(path) as fh:
+        for row_no, line in enumerate(fh, start=1):
+            if skip_header and row_no == 1:
+                continue
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(delimiter) if delimiter else line.split()
+            if column >= len(parts):
+                raise ValueError(f"{path}: row {row_no} has no column {column}")
+            try:
+                value = float(parts[column])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {row_no} column {column} is not a number: {parts[column]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: row {row_no} column {column} is not finite: {parts[column]!r}"
+                )
+            values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no samples in column {column}")
+    return values
+
+
+def read_feature_rows(path, skip_header: bool = False) -> tuple[list, list]:
+    """label,entropy,complexity rows, a row per loop step, as (labels,
+    points); raises naming the 1-based row of the first bad one."""
+    labels, points = [], []
+    with open(path) as fh:
+        for row_no, raw in enumerate(fh, start=1):
+            if skip_header and row_no == 1:
+                continue
+            line = raw.strip()
+            if not line:
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 3:
+                raise ValueError(f"{path}: row {row_no} needs label,entropy,complexity")
+            try:
+                point = (float(parts[1]), float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}: row {row_no} has non-numeric features") from None
+            if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+                raise ValueError(f"{path}: row {row_no} has non-finite features")
+            points.append(point)
+            labels.append(parts[0])
+    if not labels:
+        raise ValueError(f"{path}: no feature rows")
+    return labels, points

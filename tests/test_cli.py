@@ -730,3 +730,46 @@ def test_ingest_binary_records(tmp_path, capsys):
     )
     assert code == 0
     assert "steady: 2" in capsys.readouterr().out
+
+
+# `pairs` on `synth --per-class 50 --seed 3` features (default and 0.2 spread),
+# recorded when every pair was evaluated on its own two classes
+_SYNTH_PAIRS = {
+    "0.05": """\
+pair                     encoder                       overlap_per_element
+C1 vs C2                 precomputed                              0.010000
+C1 vs C3                 precomputed                              0.000000
+C1 vs C4                 precomputed                              0.000000
+C1 vs C5                 precomputed                              0.000000
+C2 vs C3                 precomputed                              0.000000
+C2 vs C4                 precomputed                              0.000000
+C2 vs C5                 precomputed                              0.000000
+C3 vs C4                 precomputed                              0.000000
+C3 vs C5                 precomputed                              0.000000
+C4 vs C5                 precomputed                              0.000000
+""",
+    "0.2": """\
+pair                     encoder                       overlap_per_element
+C1 vs C2                 precomputed                              0.180000
+C1 vs C3                 precomputed                              0.150000
+C1 vs C4                 precomputed                              0.140000
+C1 vs C5                 precomputed                              0.310000
+C2 vs C3                 precomputed                              0.260000
+C2 vs C4                 precomputed                              0.080000
+C2 vs C5                 precomputed                              0.090000
+C3 vs C4                 precomputed                              0.220000
+C3 vs C5                 precomputed                              0.160000
+C4 vs C5                 precomputed                              0.260000
+""",
+}
+
+
+@pytest.mark.parametrize("spread", sorted(_SYNTH_PAIRS))
+@pytest.mark.parametrize("mode", ["forall", "exists"])
+def test_pairs_on_synth_features_is_pinned(tmp_path, capsys, spread, mode):
+    out = tmp_path / "synth"
+    main(["synth", "--per-class", "50", "--seed", "3", "--spread", spread, "--out", str(out)])
+    capsys.readouterr()
+    features = str(out / "features.csv")
+    assert main(["pairs", "--features", features, "--skip-header", "--mode", mode]) == 0
+    assert capsys.readouterr().out == _SYNTH_PAIRS[spread]

@@ -245,7 +245,37 @@ def test_from_rows_groups_in_first_appearance_order():
     assert ds.total == 4
 
 
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=20).flatmap(
+        lambda labels: st.tuples(
+            st.just(labels),
+            st.lists(
+                st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                min_size=len(labels),
+                max_size=len(labels),
+            ),
+        )
+    )
+)
+def test_from_rows_matches_grouping_row_by_row(case):
+    labels, pts = case
+    grouped: dict[str, list] = {}
+    for label, point in zip(labels, pts):
+        grouped.setdefault(label, []).append(point)
+    ds = LabeledFeatureSet.from_rows(labels, pts)
+    assert ds.names == tuple(grouped)
+    for name, rows in grouped.items():
+        assert ds.classes[name].tobytes() == np.array(rows, dtype=float).tobytes()
+
+
+def test_from_rows_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="2 labels for 1 points"):
+        LabeledFeatureSet.from_rows(["a", "b"], [(0, 0)])
+
+
 def test_subset_preserves_given_order():
     ds = LabeledFeatureSet({"A": [(0, 0)], "B": [(1, 0)], "C": [(2, 0)]})
     sub = ds.subset(["C", "A"])
     assert sub.names == ("C", "A")
+

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgsym.distribution import LabeledFeatureSet, evaluate_distribution
 from ecgsym.encoding import EncoderSpec, encode
@@ -10,8 +12,10 @@ from ecgsym.experiment import (
     EncoderRun,
     ExperimentConfig,
     ExperimentResult,
+    PairRow,
     default_encoder_grid,
     emit_plot_data,
+    evaluate_entry,
     load_config_file,
     load_features_csv,
     make_clusters,
@@ -295,10 +299,8 @@ def test_load_features_csv_errors(tmp_path):
 # --- pairwise ranking ------------------------------------------------------------------
 
 def entry_from_dataset(label: str, ds: LabeledFeatureSet) -> EncoderRun:
-    rows = [
-        (name, float(p[0]), float(p[1])) for name in ds.names for p in ds.classes[name]
-    ]
-    return EncoderRun(label, rows, evaluate_distribution(ds))
+    labels = [name for name, size in zip(ds.names, ds.sizes) for _ in range(size)]
+    return evaluate_entry(label, labels, np.concatenate(list(ds.classes.values())))
 
 
 def test_pairwise_prefers_separated_entry():
@@ -327,6 +329,66 @@ def test_pairwise_unknown_class(record_setup):
     result = run_experiment(base_config(record_setup, encoders=(EncoderSpec("slope", 2),)))
     with pytest.raises(ValueError, match="unknown class"):
         pairwise_table(result, [("steady", "ghost")])
+
+
+def test_pairwise_pair_of_one_class_raises(record_setup):
+    result = run_experiment(base_config(record_setup, encoders=(EncoderSpec("slope", 2),)))
+    with pytest.raises(ValueError, match="names one class twice"):
+        pairwise_table(result, [("steady", "steady")])
+
+
+def pairwise_per_pair(result: ExperimentResult, pairs, mode: str) -> list[PairRow]:
+    """Each pair's classes evaluated alone, entry after entry; first best wins."""
+    table = []
+    for first, second in pairs:
+        best = None
+        for entry in result.entries:
+            alone = evaluate_distribution(entry.features.subset([first, second]), mode)
+            if best is None or alone.overlap_per_element < best[1]:
+                best = (entry.label, alone.overlap_per_element)
+        table.append(PairRow(first, second, *best))
+    return table
+
+
+@st.composite
+def tied_results(draw):
+    """Two entries over one shuffled label column: 1-3 dimensions, unequal
+    classes, and few coordinates, so duplicated and equidistant points abound."""
+    names = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
+    labels = draw(st.permutations(names + draw(st.lists(st.sampled_from(names), max_size=12))))
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 1 / 3])
+    entries = [
+        evaluate_entry(
+            label,
+            labels,
+            np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=len(labels), max_size=len(labels)))),
+        )
+        for label in ("first", "second")
+    ]
+    return ExperimentResult(entries, rank_entries(entries), {}), names
+
+
+@settings(max_examples=150)
+@given(tied_results())
+def test_pairwise_equals_each_pair_evaluated_alone(case):
+    result, names = case
+    pairs = [(a, b) for a in names for b in names if a != b]
+    table = pairwise_table(result, pairs)
+    for mode in ("forall", "exists"):
+        assert table == pairwise_per_pair(result, pairs, mode)
+
+
+def test_pairwise_makes_no_distribution_call(record_setup, monkeypatch):
+    import ecgsym.experiment as exp
+
+    result = run_experiment(base_config(record_setup))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("pairwise_table evaluated a distribution")
+
+    monkeypatch.setattr(exp, "evaluate_distribution", fail)
+    assert len(pairwise_table(result, [("steady", "erratic")])) == 1
 
 
 # --- emitted files ------------------------------------------------------------------------
