@@ -41,9 +41,9 @@ def _as_symbols(seq) -> np.ndarray:
     """
     if isinstance(seq, SymbolSequence):
         return (seq.symbols + 1).astype(np.uint8)
-    if isinstance(seq, bytes):
+    if isinstance(seq, bytes) and seq:
         return np.frombuffer(seq, dtype=np.uint8)
-    arr = np.asarray(seq)
+    arr = np.asarray(seq)  # b"" becomes a 0-d array, rejected here
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a plain sequence must be one non-empty row")
     values, codes = np.unique(arr, return_inverse=True)
@@ -107,32 +107,48 @@ def lz_complexity(seq) -> int:
     short by the end of the sequence counts as one.
 
     The parse carries ``p``, the earliest start of a copy of the current
-    phrase. Every copy of a word is also a copy of its prefix, so the
-    earliest copy never moves left as the phrase grows: if the symbol
-    after the copy at ``p`` equals the next phrase symbol, ``p`` stays the
-    earliest copy and the phrase extends without a search; otherwise the
-    search resumes at ``p + 1``. A new phrase starts with ``p = 0``, since
-    the empty prefix occurs everywhere before it.
+    phrase, which starts at ``m``. Every copy of a word is also a copy of
+    its prefix, so the earliest copy never moves left as the phrase grows:
+    if the symbol after the copy at ``p`` equals the next phrase symbol,
+    ``p`` stays the earliest copy and the phrase extends without a search;
+    otherwise the search resumes at ``p + 1``. A new phrase starts with
+    ``p = 0``, since the empty prefix occurs everywhere before it. The loop
+    keeps ``p`` as the distance ``d = m - p`` back to the copy and the
+    phrase's extent as ``i``, the position of the next phrase symbol.
+
+    The extension compares eight symbols at a time: ``win[j]`` holds
+    ``s[j : j + 8]`` as one big-endian integer (zero bytes past the end),
+    so ``win[i - d] ^ win[i]`` is 0 when the next eight symbols of copy and
+    phrase agree, and otherwise its leading zero bytes count the symbols
+    that agree before the first that differs. Past the end of the sequence
+    the padding may agree or differ; either way ``i`` then runs past the
+    end, which ends the parse with the trailing phrase open.
     """
     codes = _as_symbols(seq)
     if codes.ndim != 1:
         raise ValueError("lz_complexity parses one sequence, not rows")
     s = codes.tobytes()
     n = len(s)
+    win = np.ndarray((n,), ">u8", s + bytes(7), 0, (1,)).tolist()
     # the first symbol has nothing before it to copy, so it is a phrase alone
-    count, m, k, p = 1, 1, 1, 0
-    while m + k <= n:
-        if s[p + k - 1] == s[m + k - 1]:
-            k += 1
+    count, m, i, d = 1, 1, 1, 1
+    while i < n:
+        x = win[i - d] ^ win[i]
+        if x == 0:
+            i += 8
             continue
-        p = s.find(s[m : m + k], p + 1, m + k - 1)
+        i += (64 - x.bit_length()) >> 3
+        if i >= n:
+            break
+        p = s.find(s[m : i + 1], m - d + 1, i)
         if p != -1:
-            k += 1
+            d = m - p
+            i += 1
         else:
             count += 1
-            m += k
-            k, p = 1, 0
-    if k > 1:
+            m = i + 1
+            i, d = m, m
+    if i > m:
         count += 1
     return count
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecgsym.encoding import SymbolSequence
@@ -17,7 +17,7 @@ from ecgsym.features import (
     shannon_entropy_normalized,
 )
 
-from oracles import entropy_bits, lz_count, lz_phrases
+from oracles import entropy_bits, lz_count, lz_count_resumed, lz_phrases
 
 binary_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=120)
 ternary_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=120)
@@ -145,6 +145,38 @@ def test_lz_constant_runs(n):
 def test_lz_matches_oracle_on_long_runs(runs):
     values = [v for v, length in runs for _ in range(length)]
     assert lz_complexity(ternary(values)) == lz_count(values)
+
+
+# lengths 1-40 cross the edge of the parse's 8-symbol windows several times
+any_bytes = st.binary(min_size=1, max_size=40)
+few_symbol_bytes = st.integers(1, 3).flatmap(
+    lambda a: st.lists(st.integers(0, a - 1), min_size=1, max_size=40).map(bytes)
+)
+# a periodic row, its last copy running up to and past a window edge,
+# then a run of the zero byte the windows are padded with (maybe none)
+periodic_zero_tails = st.builds(
+    lambda head, reps, zeros: head * reps + bytes(zeros),
+    st.binary(min_size=1, max_size=12),
+    st.integers(1, 40),
+    st.integers(0, 20),
+)
+
+
+@given(st.one_of(any_bytes, few_symbol_bytes, periodic_zero_tails))
+@example(b"\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00")  # ends in the window's pad byte
+@example(b"\x00\x01" + bytes(17))
+@example(b"\x02\x01" * 20)  # a periodic row whose last copy runs to the end
+@example(b"\x00\x01\x02" * 13)
+def test_lz_matches_resumed_parse_on_bytes(s):
+    assert lz_complexity(s) == lz_count_resumed(s)
+    if len(s) <= 40:
+        assert lz_complexity(s) == lz_count(s)
+
+
+def test_features_reject_empty_bytes():
+    for feature in (lz_complexity, shannon_entropy):
+        with pytest.raises(ValueError, match="a plain sequence must be one non-empty row"):
+            feature(b"")
 
 
 def test_lz_plain_sequences_code_values_by_equality():
