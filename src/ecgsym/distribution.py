@@ -16,58 +16,59 @@ import numpy as np
 MODES = ("forall", "exists")
 
 
-@dataclass(eq=False)
 class LabeledFeatureSet:
-    """Named classes of points, each a (n_i, d) array with n_i >= 1."""
+    """Named classes of finite points, held as one (N, d) array sorted by
+    class: class ``names[i]`` is the block of ``sizes[i]`` rows of
+    ``points`` that starts at row ``starts[i]``.
 
-    classes: dict[str, np.ndarray]
+    Built from a dict of non-empty (n_i, d) point collections, or from
+    (label, point) rows with :meth:`from_rows`.
+    """
 
-    def __post_init__(self):
-        converted = {}
-        dim = None
-        for name, pts in self.classes.items():
-            arr = np.atleast_2d(np.asarray(pts, dtype=float))
-            if arr.shape[0] == 0:
-                raise ValueError(f"empty class {name!r}")
-            if dim is None:
-                dim = arr.shape[1]
-            elif arr.shape[1] != dim:
-                raise ValueError("classes must share one feature dimension")
-            converted[name] = arr
-        if not converted:
+    def __init__(self, classes: dict):
+        if not classes:
             raise ValueError("no classes given")
-        self.classes = converted
+        blocks = [np.atleast_2d(np.asarray(pts, dtype=float)) for pts in classes.values()]
+        for name, block in zip(classes, blocks):
+            if block.shape[0] == 0:
+                raise ValueError(f"empty class {name!r}")
+        if len({block.shape[1] for block in blocks}) > 1:
+            raise ValueError("classes must share one feature dimension")
+        self._hold(tuple(classes), tuple(map(len, blocks)), np.concatenate(blocks))
+
+    def _hold(self, names, sizes, points) -> None:
+        self.names, self.sizes, self.points = names, sizes, points
+        self.starts = np.cumsum((0,) + sizes[:-1])
+        if not np.isfinite(points).all():
+            row = np.flatnonzero(~np.isfinite(points))[0] // points.shape[1]
+            name = names[np.searchsorted(self.starts, row, side="right") - 1]
+            raise ValueError(f"class {name!r} has a non-finite point")
 
     @classmethod
     def from_rows(cls, labels, points) -> "LabeledFeatureSet":
-        """Group (label, point) rows, preserving first-appearance order."""
+        """Group (label, point) rows by one stable sort, preserving
+        first-appearance order of the classes and row order within each."""
         labels = list(map(str, labels))
         points = np.asarray(points, dtype=float)
         if len(points) != len(labels):
             raise ValueError(f"{len(labels)} labels for {len(points)} points")
+        if not labels:
+            raise ValueError("no classes given")
         index = {name: i for i, name in enumerate(dict.fromkeys(labels))}
         codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
         order = np.argsort(codes, kind="stable")
-        grouped = np.split(points[order], np.cumsum(np.bincount(codes))[:-1])
-        return cls(dict(zip(index, grouped)))
-
-    def subset(self, names) -> "LabeledFeatureSet":
-        missing = [n for n in names if n not in self.classes]
-        if missing:
-            raise ValueError(f"unknown class name(s): {', '.join(missing)}")
-        return LabeledFeatureSet({n: self.classes[n] for n in names})
+        dataset = cls.__new__(cls)
+        dataset._hold(tuple(index), tuple(np.bincount(codes).tolist()), points.take(order, axis=0))
+        return dataset
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.classes)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.classes.values())
+    def classes(self) -> dict[str, np.ndarray]:
+        """Each class's block of ``points`` (a view), by name."""
+        return dict(zip(self.names, np.split(self.points, self.starts[1:])))
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return len(self.points)
 
 
 def centroid(points) -> np.ndarray:
@@ -83,53 +84,41 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def _at_least_as_far(dataset: LabeledFeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """Two (N, m) masks over the elements, class after class: [i, j] of the
-    first is whether element i lies at least as far from its own class
-    centroid as from class j's, taken from one table of every element's
-    distance to every centroid; the second marks each element's own class.
-    """
-    classes = list(dataset.classes.values())
-    points = np.concatenate(classes)
-    dists = np.empty((len(points), len(classes)))
-    # one centroid column at a time: no (N, m, d) difference array is held
-    for j, pts in enumerate(classes):
-        diff = points - centroid(pts)
-        dists[:, j] = np.sqrt((diff * diff).sum(axis=1))
-    own = np.repeat(np.eye(len(classes), dtype=bool), dataset.sizes, axis=0)
-    return dists[own][:, None] >= dists, own
+def _overlap_tables(dataset: LabeledFeatureSet, mode: str) -> tuple[list[int], np.ndarray]:
+    """Overlapped elements per class, and the (m, m) pair counts.
 
-
-def _overlap_counts(dataset: LabeledFeatureSet, mode: str) -> np.ndarray:
-    """Overlapped elements per class.
-
-    In "forall" mode an element counts when its own-centroid distance is
-    >= its distance to every other centroid; in "exists" mode one other
-    centroid at most as far away suffices.
+    Both come from one (m, N) table of every element's distance to every
+    class centroid, a contiguous row per centroid. In "forall" mode an
+    element counts when its own-centroid distance is >= its distance to
+    every other centroid; in "exists" mode one other centroid at most as
+    far away suffices. [a, b] of the pair counts is the number of class-a
+    elements at least as far from their own centroid as from class b's.
     """
     _check_mode(mode)
-    if len(dataset.classes) < 2:
+    if len(dataset.names) < 2:
         raise ValueError("need at least two classes")
-    cond, own = _at_least_as_far(dataset)
+    points = dataset.points
+    blocks = list(zip(dataset.starts.tolist(), np.cumsum(dataset.sizes).tolist()))
+    dists = np.zeros((len(blocks), len(points)))
+    own = np.empty(len(points))
+    for j, (lo, hi) in enumerate(blocks):
+        # a coordinate at a time, so every temporary is one (N,) row
+        for column, c in zip(points.T, centroid(points[lo:hi])):
+            diff = column - c
+            diff *= diff
+            dists[j] += diff
+        np.sqrt(dists[j], out=dists[j])
+        own[lo:hi] = dists[j, lo:hi]
+    cond = own >= dists
+    pairs = np.stack([np.count_nonzero(cond[:, lo:hi], axis=1) for lo, hi in blocks])
     if mode == "forall":
-        hits = (cond | own).all(axis=1)
+        # an element's own entry compares its distance with itself
+        hits = cond.all(axis=0)
     else:
-        hits = (cond & ~own).any(axis=1)
-    return own[hits].sum(axis=0)
-
-
-def pair_overlap_counts(dataset: LabeledFeatureSet) -> np.ndarray:
-    """(m, m) counts from one distance table: [a, b] is the number of
-    class-a elements at least as far from their own centroid as from
-    class b's.
-
-    With classes a and b alone, b's centroid is the only other one, so in
-    either mode the pair's overlap is [a, b] + [b, a]. Its centroids and
-    distances are those of ``dataset.subset([a, b])``, so the counts are too.
-    """
-    cond, _ = _at_least_as_far(dataset)
-    bounds = np.cumsum(dataset.sizes)[:-1]
-    return np.stack([block.sum(axis=0) for block in np.split(cond, bounds)])
+        for j, (lo, hi) in enumerate(blocks):
+            cond[j, lo:hi] = False
+        hits = cond.any(axis=0)
+    return [np.count_nonzero(hits[lo:hi]) for lo, hi in blocks], pairs
 
 
 @dataclass(frozen=True)
@@ -140,6 +129,12 @@ class DistributionReport:
     elements; ``overlap_per_class`` is the mean of the per-class overlap
     fractions. The two coincide exactly when all classes have the same
     number of elements.
+
+    ``pair_counts[a][b]`` is the number of class-a elements at least as
+    far from their own centroid as from class b's (empty when the report
+    is built from counts alone). With classes a and b alone, b's centroid
+    is the only other one, so in either mode the pair's overlap is
+    ``[a][b] + [b][a]``.
     """
 
     class_names: tuple[str, ...]
@@ -150,6 +145,7 @@ class DistributionReport:
     overlap_per_element: float
     overlap_per_class: float
     mode: str
+    pair_counts: tuple[tuple[int, ...], ...] = ()
 
     def to_text(self) -> str:
         lines = [
@@ -169,7 +165,9 @@ class DistributionReport:
         return "\n".join(lines) + "\n"
 
 
-def report_from_counts(names, sizes, overlaps, mode: str = "forall") -> DistributionReport:
+def report_from_counts(
+    names, sizes, overlaps, mode: str = "forall", pair_counts=()
+) -> DistributionReport:
     """Aggregate per-class overlap counts into a report.
 
     Aggregates are accumulated as exact rationals before conversion to
@@ -199,9 +197,11 @@ def report_from_counts(names, sizes, overlaps, mode: str = "forall") -> Distribu
         overlap_per_element=float(Fraction(total, n_total)),
         overlap_per_class=float(sum(fractions, Fraction(0)) / len(names)),
         mode=mode,
+        pair_counts=tuple(tuple(int(v) for v in row) for row in pair_counts),
     )
 
 
 def evaluate_distribution(dataset: LabeledFeatureSet, mode: str = "forall") -> DistributionReport:
-    """Compute the overlap report of a labeled dataset."""
-    return report_from_counts(dataset.names, dataset.sizes, _overlap_counts(dataset, mode), mode)
+    """Compute the overlap report of a labeled dataset, pair counts included."""
+    overlaps, pairs = _overlap_tables(dataset, mode)
+    return report_from_counts(dataset.names, dataset.sizes, overlaps, mode, pairs)

@@ -17,12 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distribution import (
-    DistributionReport,
-    LabeledFeatureSet,
-    evaluate_distribution,
-    pair_overlap_counts,
-)
+from .distribution import DistributionReport, LabeledFeatureSet, evaluate_distribution
 from .encoding import SLOPE, THRESHOLD, EncoderSpec, check_zero_tol, encode
 from .features import extract_features, min_valid_length
 from .filtering import (
@@ -190,8 +185,8 @@ class ExperimentConfig:
 @dataclass(eq=False)
 class EncoderRun:
     """Result of one grid entry: each segment's label and (entropy,
-    complexity) point in segment order, the same points grouped by class,
-    and the report."""
+    complexity) point in segment order, the same points sorted by class,
+    and the report with its pair counts."""
 
     label: str
     labels: list[str]
@@ -383,26 +378,26 @@ class PairRow:
 def pairwise_table(result: ExperimentResult, pairs) -> list[PairRow]:
     """Best encoder per class pair over the already-computed features.
 
-    Each entry's counts for every pair come from one distance table of all
-    its classes (:func:`pair_overlap_counts`); a pair's value is bit for
-    bit the per-element overlap of its two classes evaluated alone, which
-    is the same in "forall" and "exists" mode.
+    Every pair is read from the pair counts of each entry's report, which
+    come from the one distance table its evaluation built; a pair's value
+    is bit for bit the per-element overlap of its two classes evaluated
+    alone, which is the same in "forall" and "exists" mode.
     """
     pairs = list(pairs)
     best: list[tuple[str | None, float | None]] = [(None, None)] * len(pairs)
     for entry in result.entries:
-        index = {name: i for i, name in enumerate(entry.features.names)}
+        report = entry.report
+        index = {name: i for i, name in enumerate(report.class_names)}
         for first, second in pairs:
             missing = [name for name in (first, second) if name not in index]
             if missing:
                 raise ValueError(f"unknown class name(s): {', '.join(missing)}")
             if first == second:
                 raise ValueError(f"pair {first!r} vs {second!r} names one class twice")
-        counts = pair_overlap_counts(entry.features)
-        sizes = entry.features.sizes
+        counts, sizes = report.pair_counts, report.class_sizes
         for k, (first, second) in enumerate(pairs):
             a, b = index[first], index[second]
-            value = float(Fraction(int(counts[a, b] + counts[b, a]), sizes[a] + sizes[b]))
+            value = float(Fraction(counts[a][b] + counts[b][a], sizes[a] + sizes[b]))
             if best[k][1] is None or value < best[k][1]:
                 best[k] = (entry.label, value)
     return [PairRow(a, b, label, value) for (a, b), (label, value) in zip(pairs, best)]

@@ -3,15 +3,22 @@
 Kept deliberately naive and structurally different from the library code
 so they can serve as oracles: phrase parsing by literal reproducibility
 scans over tuples, entropy by counter arithmetic, overlap counting by
-plain loops, and text files read one row per loop step. The one
-exception to "naive" is :func:`lz_count_resumed`, the one-symbol-a-step
-resumed-match parse, fast enough for full-length encoded rows.
+plain loops, and text files read one row per loop step. Two exceptions
+to "naive": :func:`lz_count_resumed`, the one-symbol-a-step resumed-match
+parse, fast enough for full-length encoded rows; and
+:func:`at_least_as_far`, the library's earlier (N, m) distance table,
+built a centroid column at a time, kept as it was to check the table that
+replaced it on tie-heavy data.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
+
+from ecgsym.distribution import centroid
 
 
 def lz_phrases(symbols) -> list[tuple]:
@@ -97,6 +104,23 @@ def overlap_counts(classes: dict, mode: str = "forall") -> dict:
             count += int(hit)
         result[name] = count
     return result
+
+
+def at_least_as_far(dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Two (N, m) masks over the elements, class after class: [i, j] of the
+    first is whether element i lies at least as far from its own class
+    centroid as from class j's, taken from one table of every element's
+    distance to every centroid; the second marks each element's own class.
+    """
+    classes = list(dataset.classes.values())
+    points = np.concatenate(classes)
+    dists = np.empty((len(points), len(classes)))
+    # one centroid column at a time: no (N, m, d) difference array is held
+    for j, pts in enumerate(classes):
+        diff = points - centroid(pts)
+        dists[:, j] = np.sqrt((diff * diff).sum(axis=1))
+    own = np.repeat(np.eye(len(classes), dtype=bool), dataset.sizes, axis=0)
+    return dists[own][:, None] >= dists, own
 
 
 def read_text_column(path, column: int = 0, delimiter=None, skip_header: bool = False) -> list:

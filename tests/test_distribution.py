@@ -12,7 +12,7 @@ from ecgsym.distribution import (
     report_from_counts,
 )
 
-from oracles import overlap_counts
+from oracles import at_least_as_far, overlap_counts
 
 # small integer coordinates keep distance comparisons exact under rigid motions
 points = st.lists(
@@ -82,12 +82,6 @@ def test_overlap_needs_two_classes():
         evaluate_distribution(ds)
 
 
-def test_overlap_unknown_class():
-    ds = LabeledFeatureSet({"A": [(0, 0)], "B": [(1, 0)]})
-    with pytest.raises(ValueError, match="unknown class"):
-        ds.subset(["A", "Z"])
-
-
 @given(datasets(), st.sampled_from(["forall", "exists"]))
 @settings(max_examples=60)
 def test_overlap_matches_loop_oracle(ds, mode):
@@ -100,6 +94,33 @@ def test_overlap_matches_loop_oracle(ds, mode):
 def test_forall_at_most_exists(ds):
     for forall, exists in zip(overlaps(ds, "forall"), overlaps(ds, "exists")):
         assert forall <= exists
+
+
+@st.composite
+def tied_sets(draw):
+    """2-4 classes of unequal size over one shuffled label column, 1-3
+    dimensions and few coordinates, so duplicated and equidistant points
+    abound."""
+    names = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
+    labels = draw(st.permutations(names + draw(st.lists(st.sampled_from(names), max_size=12))))
+    coord = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 1 / 3])
+    row = st.tuples(*[coord] * draw(st.integers(1, 3)))
+    rows = draw(st.lists(row, min_size=len(labels), max_size=len(labels)))
+    return LabeledFeatureSet.from_rows(labels, rows)
+
+
+@given(tied_sets(), st.sampled_from(["forall", "exists"]))
+@settings(max_examples=200)
+def test_one_table_matches_the_column_table_oracle(ds, mode):
+    cond, own = at_least_as_far(ds)
+    if mode == "forall":
+        hits = (cond | own).all(axis=1)
+    else:
+        hits = (cond & ~own).any(axis=1)
+    rep = evaluate_distribution(ds, mode)
+    assert rep.class_overlaps == tuple(own[hits].sum(axis=0).tolist())
+    blocks = np.split(cond, np.cumsum(ds.sizes)[:-1])
+    assert rep.pair_counts == tuple(tuple(block.sum(axis=0).tolist()) for block in blocks)
 
 
 def test_modes_agree_for_two_classes():
@@ -236,6 +257,14 @@ def test_feature_set_validation():
         LabeledFeatureSet({})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_feature_set_rejects_non_finite_points_naming_the_class(bad):
+    with pytest.raises(ValueError, match="class 'A' has a non-finite point"):
+        LabeledFeatureSet({"A": [[bad, 0], [0, 0]], "B": [[1, 1], [1.2, 1]]})
+    with pytest.raises(ValueError, match="class 'B' has a non-finite point"):
+        LabeledFeatureSet.from_rows(["A", "B", "A", "B"], [[0, 0], [1, 1], [0, 0], [1, bad]])
+
+
 def test_from_rows_groups_in_first_appearance_order():
     ds = LabeledFeatureSet.from_rows(
         ["b", "a", "b", "a"], [(0, 0), (1, 1), (2, 2), (3, 3)]
@@ -272,10 +301,3 @@ def test_from_rows_matches_grouping_row_by_row(case):
 def test_from_rows_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="2 labels for 1 points"):
         LabeledFeatureSet.from_rows(["a", "b"], [(0, 0)])
-
-
-def test_subset_preserves_given_order():
-    ds = LabeledFeatureSet({"A": [(0, 0)], "B": [(1, 0)], "C": [(2, 0)]})
-    sub = ds.subset(["C", "A"])
-    assert sub.names == ("C", "A")
-

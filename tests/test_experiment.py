@@ -300,7 +300,7 @@ def test_load_features_csv_errors(tmp_path):
 
 def entry_from_dataset(label: str, ds: LabeledFeatureSet) -> EncoderRun:
     labels = [name for name, size in zip(ds.names, ds.sizes) for _ in range(size)]
-    return evaluate_entry(label, labels, np.concatenate(list(ds.classes.values())))
+    return evaluate_entry(label, labels, ds.points)
 
 
 def test_pairwise_prefers_separated_entry():
@@ -338,12 +338,17 @@ def test_pairwise_pair_of_one_class_raises(record_setup):
 
 
 def pairwise_per_pair(result: ExperimentResult, pairs, mode: str) -> list[PairRow]:
-    """Each pair's classes evaluated alone, entry after entry; first best wins."""
+    """Each pair's classes evaluated alone, from those two classes' rows,
+    entry after entry; first best wins."""
     table = []
     for first, second in pairs:
         best = None
         for entry in result.entries:
-            alone = evaluate_distribution(entry.features.subset([first, second]), mode)
+            keep = [i for i, label in enumerate(entry.labels) if label in (first, second)]
+            alone = evaluate_distribution(
+                LabeledFeatureSet.from_rows([entry.labels[i] for i in keep], entry.points[keep]),
+                mode,
+            )
             if best is None or alone.overlap_per_element < best[1]:
                 best = (entry.label, alone.overlap_per_element)
         table.append(PairRow(first, second, *best))
