@@ -64,11 +64,11 @@ def main() -> int:
 
     records, sidecar = build_dataset(Path(args.work_dir), args.windows_per_class, args.seed)
     config = ExperimentConfig(
-        record_paths=tuple(records),
+        records=tuple(records),
         sidecar=sidecar,
-        record_format="212",
+        format="212",
         channel=0,
-        out_dir=args.out,
+        out=args.out,
     )
     result = run_experiment(config)
 

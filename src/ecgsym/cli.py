@@ -22,6 +22,7 @@ from .distribution import LabeledFeatureSet, evaluate_distribution
 from .encoding import EncoderSpec, SymbolSequence, check_zero_tol, encode
 from .features import extract_features, lz_complexity, shannon_entropy
 from .filtering import (
+    DEFAULT_SAMPLE_RATE,
     PaddingPlan,
     Signal,
     compensation_plan,
@@ -46,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 _FILTER_KINDS = {"bandpass": make_bandpass, "lowpass": make_lowpass, "highpass": make_highpass}
 
 
-def _add_text_signal_flags(p, column=0, sample_rate=360.0):
+def _add_text_signal_flags(p, column=0, sample_rate=DEFAULT_SAMPLE_RATE):
     p.add_argument("--column", type=int, default=column, help="text column holding the samples")
     p.add_argument("--delimiter", default=None, help="column delimiter (default: whitespace)")
     p.add_argument("--skip-header", action="store_true", help="skip the first row")
@@ -79,11 +80,12 @@ def _add_record_flags(p):
 
 
 def _add_run_flags(p):
-    """The flags of run and pairs; their dests are also the config-file keys."""
+    """The flags of run and pairs; their dests are the ExperimentConfig
+    fields and, all but features, the config-file keys."""
     _add_record_flags(p)
     p.add_argument("--config", default=None, help="flat key = value configuration file")
     p.add_argument("--features", nargs="+", default=None, help="precomputed feature CSVs")
-    p.add_argument("--no-filter", action="store_true")
+    p.add_argument("--no-filter", dest="filter", action="store_false")
     p.add_argument("--pad-before", type=int, default=None)
     p.add_argument("--pad-after", type=int, default=None)
     p.add_argument("--grid", default=None, help="encoder grid file")
@@ -102,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="compensated filtering of a text signal")
     p.add_argument("input", nargs="?", default=None)
     p.add_argument("--kind", choices=sorted(_FILTER_KINDS), default="bandpass")
-    p.add_argument("--pad-before", type=int, default=65)
-    p.add_argument("--pad-after", type=int, default=65)
+    p.add_argument("--pad-before", type=int, default=exp.DEFAULT_PAD)
+    p.add_argument("--pad-after", type=int, default=exp.DEFAULT_PAD)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--response", default=None, help="write magnitude/phase response CSV")
     _add_text_signal_flags(p)
@@ -271,24 +273,12 @@ def _bool_from_text(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-# ExperimentConfig fields of the run/pairs flag dests whose names differ
-_CONFIG_FIELDS = {
-    "format": "record_format",
-    "pad_before": "pad_lead",
-    "pad_after": "pad_trail",
-    "out": "out_dir",
-    "records": "record_paths",
-    "features": "feature_files",
-    "grid": "encoders",
-}
-
-
 def _config_from_args(args) -> exp.ExperimentConfig:
     """ExperimentConfig of the ingest, run or pairs flags over the --config file.
 
-    The file's keys are the run/pairs flag dests, except ``features``, and
-    each value is cast like its flag's argument; ``filter`` stands for the
-    inverse of ``no_filter``. A flag that differs from its default
+    The run/pairs flag dests are the ExperimentConfig fields; the file's
+    keys are the same names except ``features``, and each value is cast
+    like its flag's argument. A flag that differs from its default
     overrides the file. Any error in the flags or the file is a usage error.
     """
     flags = {a.dest: a for a in _add_run_flags(_Parser(add_help=False))._actions}
@@ -296,11 +286,8 @@ def _config_from_args(args) -> exp.ExperimentConfig:
     try:
         values = {}
         if getattr(args, "config", None):  # ingest has no --config
-            keys = set(flags) - {"features", "no_filter"} | {"filter"}
-            for key, text in exp.load_config_file(args.config, keys).items():
-                if key == "filter":
-                    values["no_filter"] = not _bool_from_text(text)
-                elif flags[key].nargs == 0:
+            for key, text in exp.load_config_file(args.config, set(flags) - {"features"}).items():
+                if flags[key].nargs == 0:
                     values[key] = _bool_from_text(text)
                 elif flags[key].nargs == "*":
                     values[key] = text.replace(",", " ").split()
@@ -313,12 +300,9 @@ def _config_from_args(args) -> exp.ExperimentConfig:
         )
         if "grid" in values:
             values["grid"] = exp.parse_grid_file(values["grid"])
-        fields = {
-            _CONFIG_FIELDS.get(dest, dest): tuple(value) if isinstance(value, list) else value
-            for dest, value in values.items()
-        }
-        fields["apply_filtering"] = not fields.pop("no_filter", False)
-        return exp.ExperimentConfig(**fields)
+        return exp.ExperimentConfig(
+            **{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
+        )
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from None
 
@@ -330,8 +314,8 @@ def cmd_run(args) -> int:
     for rank, idx in enumerate(result.ranking, start=1):
         entry = result.entries[idx]
         print(f"{rank:<5} {entry.label:<28} {entry.report.overlap_per_element:>20.6f}")
-    if config.out_dir:
-        print(f"reports and scatter data written to {config.out_dir}")
+    if config.out:
+        print(f"reports and scatter data written to {config.out}")
     return 0
 
 
@@ -354,19 +338,19 @@ def cmd_pairs(args) -> int:
             if first == second:
                 raise UsageError(f"pair {item!r} names one class twice")
             pairs.append((first, second))
-    if pairs is not None and config.record_paths:
+    if pairs is not None and config.records:
         # the sidecar's labels are exactly the classes, since ingestion
         # rejects a sidecar class that ends up empty
         _check_pair_names(pairs, {span.label for span in read_label_sidecar(config.sidecar)})
-    result = exp.run_experiment(dataclasses.replace(config, out_dir=None))
+    result = exp.run_experiment(dataclasses.replace(config, out=None))
     names = list(result.class_counts)
     if pairs is None:
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     _check_pair_names(pairs, names)
     table = exp.pairwise_table(result, pairs)
     text = exp.pair_table_text(table)
-    if config.out_dir:
-        out = Path(config.out_dir)
+    if config.out:
+        out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "pairs.txt").write_text(text)
     print(text, end="")

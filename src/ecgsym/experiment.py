@@ -124,15 +124,17 @@ def load_config_file(path, keys=None) -> dict[str, str]:
 class ExperimentConfig:
     """Everything a full pipeline run needs.
 
-    Input is either labeled records (``record_paths`` + ``sidecar``) or
-    precomputed feature files (``feature_files`` of label,entropy,
-    complexity rows); the encoder grid applies only to record input.
+    Input is either labeled records (``records`` + ``sidecar``) or
+    precomputed feature files (``features`` of label,entropy,complexity
+    rows); the encoder ``grid`` applies only to record input. Each field
+    is named after the ``run``/``pairs`` flag that sets it, which is also
+    its config-file key for every field but ``features``.
     """
 
-    record_paths: tuple[str, ...] = ()
+    records: tuple[str, ...] = ()
     sidecar: str | None = None
-    feature_files: tuple[str, ...] = ()
-    record_format: str = "text"
+    features: tuple[str, ...] = ()
+    format: str = "text"
     channel: int = 0
     column: int = 0
     delimiter: str | None = None
@@ -141,29 +143,29 @@ class ExperimentConfig:
     sample_rate: float = DEFAULT_SAMPLE_RATE
     segment_length: int = DEFAULT_SEGMENT_LENGTH
     stride: int | None = None
-    apply_filtering: bool = True
-    pad_lead: int = DEFAULT_PAD
-    pad_trail: int = DEFAULT_PAD
-    encoders: tuple[EncoderSpec, ...] = field(default_factory=lambda: tuple(default_encoder_grid()))
+    filter: bool = True
+    pad_before: int = DEFAULT_PAD
+    pad_after: int = DEFAULT_PAD
+    grid: tuple[EncoderSpec, ...] = field(default_factory=lambda: tuple(default_encoder_grid()))
     zero_tol: float = 0.0
     mode: str = "forall"
-    out_dir: str | None = None
+    out: str | None = None
 
     def __post_init__(self):
-        if self.feature_files:
-            if self.record_paths:
+        if self.features:
+            if self.records:
                 raise ValueError("give either record paths or feature files, not both")
         else:
-            if not self.record_paths:
+            if not self.records:
                 raise ValueError("no input: need record paths or feature files")
             if self.sidecar is None:
                 raise ValueError("record input requires a label sidecar")
-            if not self.encoders:
+            if not self.grid:
                 raise ValueError("encoder grid is empty")
-            if self.record_format == "text" and self.channel != 0:
+            if self.format == "text" and self.channel != 0:
                 raise ValueError(f"text records have one channel (0), not {self.channel}")
-        if self.record_format not in ("text", "212"):
-            raise ValueError("record_format must be 'text' or '212'")
+        if self.format not in ("text", "212"):
+            raise ValueError("format must be 'text' or '212'")
         if self.channel < 0:
             raise ValueError("channel must be non-negative")
         if self.signal_count < 1:
@@ -174,8 +176,8 @@ class ExperimentConfig:
             raise ValueError("segment length must be at least 1")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be at least 1")
-        plan = PaddingPlan(self.pad_lead, self.pad_trail)
-        if self.apply_filtering and not self.feature_files:
+        plan = PaddingPlan(self.pad_before, self.pad_after)
+        if self.filter and not self.features:
             compensation_plan(make_bandpass(), self.sample_rate, plan)
         check_zero_tol(self.zero_tol)
         if self.mode not in ("forall", "exists"):
@@ -185,13 +187,12 @@ class ExperimentConfig:
 @dataclass(eq=False)
 class EncoderRun:
     """Result of one grid entry: each segment's label and (entropy,
-    complexity) point in segment order, the same points sorted by class,
-    and the report with its pair counts."""
+    complexity) point in segment order, and the report with its pair
+    counts."""
 
     label: str
     labels: list[str]
     points: np.ndarray
-    features: LabeledFeatureSet
     report: DistributionReport
 
     @property
@@ -202,8 +203,8 @@ class EncoderRun:
 
 def evaluate_entry(label: str, labels, points, mode: str = "forall") -> EncoderRun:
     """Group one entry's points by label once and evaluate the overlap."""
-    features = LabeledFeatureSet.from_rows(labels, points)
-    return EncoderRun(label, labels, points, features, evaluate_distribution(features, mode))
+    report = evaluate_distribution(LabeledFeatureSet.from_rows(labels, points), mode)
+    return EncoderRun(label, labels, points, report)
 
 
 @dataclass(eq=False)
@@ -280,7 +281,7 @@ def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) ->
 
 
 def _read_record_signal(path: str, config: ExperimentConfig) -> Signal:
-    if config.record_format == "212":
+    if config.format == "212":
         channels = read_binary_record(path, config.signal_count, config.sample_rate)
         if config.channel >= len(channels):
             raise ValueError(f"{path}: no channel {config.channel}")
@@ -295,7 +296,7 @@ def _read_record_signal(path: str, config: ExperimentConfig) -> Signal:
 
 
 def _check_grid_lengths(config: ExperimentConfig) -> None:
-    for spec in config.encoders:
+    for spec in config.grid:
         produced = config.segment_length - (1 if spec.method == SLOPE else 0)
         bound = min_valid_length(spec.alphabet_size)
         if produced < bound:
@@ -308,7 +309,7 @@ def _check_grid_lengths(config: ExperimentConfig) -> None:
 
 def _ingest(config: ExperimentConfig):
     signals = {}
-    for path in config.record_paths:
+    for path in config.records:
         record_id = Path(path).stem
         if record_id in signals:
             raise ValueError(f"duplicate record id {record_id!r}")
@@ -337,9 +338,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     With feature-file input the encoding stage is bypassed and a single
     entry labeled 'precomputed' is produced.
     """
-    if config.feature_files:
+    if config.features:
         labels, points = [], []
-        for path in config.feature_files:
+        for path in config.features:
             file_labels, file_points = load_features_csv(path, config.skip_header)
             labels += file_labels
             points.append(file_points)
@@ -349,19 +350,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         _check_grid_lengths(config)
         segments, skipped, dropped = _ingest(config)
         signal = Signal(segments.samples, config.sample_rate)
-        if config.apply_filtering:
-            plan = PaddingPlan(config.pad_lead, config.pad_trail)
+        if config.filter:
+            plan = PaddingPlan(config.pad_before, config.pad_after)
             signal = filter_compensated(make_bandpass(), signal, plan)
         entries = []
-        for spec in config.encoders:
+        for spec in config.grid:
             fv = extract_features(encode(signal, spec, config.zero_tol))
             points = np.column_stack((fv.h_norm, fv.c_norm))
             entries.append(evaluate_entry(spec.label, segments.labels, points, config.mode))
-    counts = dict(zip(entries[0].features.names, entries[0].features.sizes))
+    counts = dict(zip(entries[0].report.class_names, entries[0].report.class_sizes))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
-    if config.out_dir is not None:
-        write_reports(result.entries, config.out_dir)
-        emit_plot_data(result.entries, config.out_dir)
+    if config.out is not None:
+        write_reports(result.entries, config.out)
+        emit_plot_data(result.entries, config.out)
     return result
 
 
@@ -430,7 +431,7 @@ def write_reports(entries: list[EncoderRun], out_dir) -> list[Path]:
 def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
     """Write per-encoder scatter files and the ranked summary table; a label
     with a comma or a newline, which would break the rows, raises first."""
-    for label in {label for entry in entries for label, _, _ in entry.rows}:
+    for label in {label for entry in entries for label in entry.labels}:
         if any(c in label for c in ",\r\n"):
             raise ValueError(f"label {label!r} contains a comma or a newline")
     out = Path(out_dir)

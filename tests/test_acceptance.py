@@ -250,11 +250,11 @@ def test_criterion_11_supplied_dataset():
     sidecar = str(Path(data_dir) / "labels.csv")
     channel = int(os.environ.get("ECGSYM_DATASET_CHANNEL", "0"))
     config = ExperimentConfig(
-        record_paths=records,
+        records=records,
         sidecar=sidecar,
-        record_format="212",
+        format="212",
         channel=channel,
-        encoders=(EncoderSpec("threshold", 3, 1 / 12),),
+        grid=(EncoderSpec("threshold", 3, 1 / 12),),
     )
     result = run_experiment(config)
     report = result.entries[0].report
@@ -288,7 +288,7 @@ def test_criterion_11_supplied_dataset():
 
     from ecgsym.experiment import default_encoder_grid
 
-    full_config = dataclasses.replace(config, encoders=tuple(default_encoder_grid()))
+    full_config = dataclasses.replace(config, grid=tuple(default_encoder_grid()))
     table = pairwise_table(run_experiment(full_config), list(expected_winners))
     for row in table:
         assert row.encoder == expected_winners[(row.first, row.second)], row

@@ -118,9 +118,9 @@ def test_run_calls_each_stage_a_fixed_number_of_times(tmp_path, monkeypatch, win
     filters = count_calls(monkeypatch, exp, "filter_compensated")
     encodes = count_calls(monkeypatch, exp, "encode")
     features = count_calls(monkeypatch, exp, "extract_features")
-    config = exp.ExperimentConfig(record_paths=tuple(paths), sidecar=sidecar, record_format="212")
+    config = exp.ExperimentConfig(records=tuple(paths), sidecar=sidecar, format="212")
     result = run_experiment(config)
     assert sum(result.class_counts.values()) == 2 * windows_per_class
     # one evaluation when the config checks its padding, one in the filter
     assert (len(delays), len(filters)) == (2, 1)
-    assert len(encodes) == len(features) == len(config.encoders)
+    assert len(encodes) == len(features) == len(config.grid)

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgsym.cli import main
+from ecgsym.cli import _config_from_args, build_parser, main
+from ecgsym.experiment import ExperimentConfig
 from ecgsym.records import pack_format212
 
 FS = 360.0
@@ -431,6 +434,84 @@ def test_run_repeated_config_key_is_usage_error(dataset, capsys):
     )
     assert main(["run", "--config", str(conf)]) == 1
     assert "row 5: key 'mode' repeats row 4" in capsys.readouterr().err
+
+
+def _flag_dests(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+
+
+def test_config_fields_are_the_run_and_pairs_flag_dests():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert _flag_dests("run") == fields
+    assert _flag_dests("pairs") - {"pairs"} == fields
+
+
+def test_config_file_keys_are_the_fields_but_features(dataset, monkeypatch):
+    import ecgsym.experiment as exp
+
+    seen = []
+    monkeypatch.setattr(exp, "load_config_file", lambda path, keys: seen.append(keys) or {})
+    assert main(["run", "--config", str(dataset / "run.conf")]) == 1  # no input
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert seen == [fields - {"features"}]
+
+
+def test_bad_config_file_format_names_the_key(dataset, capsys):
+    conf = dataset / "run.conf"
+    conf.write_text(
+        f"records = {dataset / 'r1.txt'}\nsidecar = {dataset / 'labels.csv'}\nformat = edf\n"
+    )
+    assert main(["run", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == "usage error: format must be 'text' or '212'\n"
+
+
+def _config(argv):
+    return _config_from_args(build_parser().parse_args(argv))
+
+
+def test_config_file_filter_off_equals_no_filter_flag(dataset):
+    records = [str(dataset / "r1.txt"), str(dataset / "r2.txt")]
+    conf = dataset / "run.conf"
+    conf.write_text(f"filter = off\nsidecar = {dataset / 'labels.csv'}\n")
+    from_file = _config(["run", *records, "--config", str(conf)])
+    from_flag = _config(["run", *records, "--sidecar", str(dataset / "labels.csv"), "--no-filter"])
+    assert from_file == from_flag
+    assert from_flag.filter is False
+    assert _config(["run", *records, "--sidecar", str(dataset / "labels.csv")]).filter is True
+
+
+def test_every_config_key_builds_what_its_flag_builds(dataset):
+    records = [str(dataset / "r1.txt"), str(dataset / "r2.txt")]
+    values = {
+        "sidecar": str(dataset / "labels.csv"),
+        "format": "212",
+        "channel": "1",
+        "signal_count": "3",
+        "column": "1",
+        "delimiter": ";",
+        "sample_rate": "250",
+        "segment_length": "600",
+        "stride": "300",
+        "pad_before": "70",
+        "pad_after": "60",
+        "grid": str(dataset / "grid.txt"),
+        "zero_tol": "0.5",
+        "mode": "exists",
+        "out": str(dataset / "out"),
+    }
+    conf = dataset / "run.conf"
+    conf.write_text(
+        f"records = {' '.join(records)}\nfilter = off\nskip_header = yes\n"
+        + "".join(f"{key} = {value}\n" for key, value in values.items())
+    )
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    config = _config(["run", "--config", str(conf)])
+    assert config == _config(["run", *records, "--no-filter", "--skip-header", *flags])
+    # every field but features is a key, and each key moved its field off the default
+    default = ExperimentConfig(features=("f.csv",))
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "features"]
+    assert [name for name in fields if getattr(config, name) == getattr(default, name)] == []
 
 
 def test_run_bad_grid_is_usage_error(dataset, capsys):

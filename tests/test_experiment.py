@@ -80,7 +80,7 @@ def small_grid():
 
 def base_config(record_setup, **overrides):
     (p1, p2), sidecar, _ = record_setup
-    kwargs = dict(record_paths=(p1, p2), sidecar=sidecar, encoders=small_grid())
+    kwargs = dict(records=(p1, p2), sidecar=sidecar, grid=small_grid())
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
@@ -140,15 +140,15 @@ def test_load_config_file(tmp_path):
 def test_config_validation(record_setup):
     (p1, _), sidecar, _ = record_setup
     with pytest.raises(ValueError, match="not both"):
-        ExperimentConfig(record_paths=(p1,), sidecar=sidecar, feature_files=("f.csv",))
+        ExperimentConfig(records=(p1,), sidecar=sidecar, features=("f.csv",))
     with pytest.raises(ValueError, match="no input"):
         ExperimentConfig()
     with pytest.raises(ValueError, match="sidecar"):
-        ExperimentConfig(record_paths=(p1,))
+        ExperimentConfig(records=(p1,))
     with pytest.raises(ValueError, match="grid is empty"):
-        ExperimentConfig(record_paths=(p1,), sidecar=sidecar, encoders=())
+        ExperimentConfig(records=(p1,), sidecar=sidecar, grid=())
     with pytest.raises(ValueError, match="mode"):
-        ExperimentConfig(record_paths=(p1,), sidecar=sidecar, mode="always")
+        ExperimentConfig(records=(p1,), sidecar=sidecar, mode="always")
 
 
 # --- synthetic clusters ----------------------------------------------------------
@@ -186,7 +186,7 @@ def test_make_clusters_names_and_sizes():
 # --- pipeline runs -----------------------------------------------------------------
 
 def test_run_bookkeeping(record_setup):
-    config = base_config(record_setup, encoders=(EncoderSpec("slope", 2),))
+    config = base_config(record_setup, grid=(EncoderSpec("slope", 2),))
     result = run_experiment(config)
     assert len(result.entries) == 1
     report = result.entries[0].report
@@ -213,7 +213,7 @@ def test_run_pipeline_conservation(record_setup):
 
 
 def test_run_without_filtering(record_setup):
-    result = run_experiment(base_config(record_setup, apply_filtering=False))
+    result = run_experiment(base_config(record_setup, filter=False))
     assert result.class_counts == {"steady": 3, "erratic": 3}
     assert len(result.entries) == len(small_grid())
 
@@ -224,7 +224,7 @@ def test_run_reports_empty_class(record_setup):
     # the span is too short to hold one full window, so its class vanishes
     sidecar.write_text("r1,0,1440,steady\nr1,1440,2000,erratic\n")
     config = ExperimentConfig(
-        record_paths=(p1, p2), sidecar=str(sidecar), encoders=small_grid()
+        records=(p1, p2), sidecar=str(sidecar), grid=small_grid()
     )
     with pytest.raises(ValueError, match="'erratic' ended up empty"):
         run_experiment(config)
@@ -239,8 +239,8 @@ def test_run_ranking_is_sorted_and_stable(record_setup):
 
 def test_run_deterministic_outputs(record_setup, tmp_path):
     out_a, out_b = tmp_path / "out_a", tmp_path / "out_b"
-    run_experiment(base_config(record_setup, out_dir=str(out_a)))
-    run_experiment(base_config(record_setup, out_dir=str(out_b)))
+    run_experiment(base_config(record_setup, out=str(out_a)))
+    run_experiment(base_config(record_setup, out=str(out_b)))
     files_a = sorted(p.name for p in out_a.iterdir())
     files_b = sorted(p.name for p in out_b.iterdir())
     assert files_a == files_b and files_a
@@ -257,7 +257,7 @@ def test_run_feature_file_input(tmp_path):
         for p in ds.classes[name]
     ]
     path.write_text("\n".join(lines) + "\n")
-    config = ExperimentConfig(feature_files=(str(path),))
+    config = ExperimentConfig(features=(str(path),))
     result = run_experiment(config)
     assert len(result.entries) == 1
     assert result.entries[0].label == "precomputed"
@@ -273,7 +273,7 @@ def test_separated_clusters_score_below_coincident(tmp_path):
             for p in ds.classes[label]
         ]
         path.write_text("\n".join(lines) + "\n")
-        return run_experiment(ExperimentConfig(feature_files=(str(path),)))
+        return run_experiment(ExperimentConfig(features=(str(path),)))
 
     centers = [(0.1, 0.1), (0.5, 0.9), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9)]
     apart = make_clusters(centers, 40, 0.02, seed=9)
@@ -326,13 +326,13 @@ def test_pairwise_bookkeeping_one_row_per_pair(record_setup):
 
 
 def test_pairwise_unknown_class(record_setup):
-    result = run_experiment(base_config(record_setup, encoders=(EncoderSpec("slope", 2),)))
+    result = run_experiment(base_config(record_setup, grid=(EncoderSpec("slope", 2),)))
     with pytest.raises(ValueError, match="unknown class"):
         pairwise_table(result, [("steady", "ghost")])
 
 
 def test_pairwise_pair_of_one_class_raises(record_setup):
-    result = run_experiment(base_config(record_setup, encoders=(EncoderSpec("slope", 2),)))
+    result = run_experiment(base_config(record_setup, grid=(EncoderSpec("slope", 2),)))
     with pytest.raises(ValueError, match="names one class twice"):
         pairwise_table(result, [("steady", "steady")])
 
@@ -437,7 +437,7 @@ def test_rank_entries_stable_on_ties():
 def demo_config(tmp_path, windows_per_class: int, seed: int, **overrides) -> ExperimentConfig:
     paths, sidecar = build_dataset(tmp_path / "demo", windows_per_class, seed)
     return ExperimentConfig(
-        record_paths=tuple(paths), sidecar=sidecar, record_format="212", **overrides
+        records=tuple(paths), sidecar=sidecar, format="212", **overrides
     )
 
 
@@ -447,7 +447,7 @@ def test_lz_matches_oracle_on_pipeline_sequences(tmp_path):
     # of 720, checks the first few rows of each encoder
     config = demo_config(tmp_path, 25, 0)
     segments, _, _ = _ingest(config)
-    plan = PaddingPlan(config.pad_lead, config.pad_trail)
+    plan = PaddingPlan(config.pad_before, config.pad_after)
     signal = filter_compensated(make_bandpass(), Signal(segments.samples, config.sample_rate), plan)
     checked = 0
     for spec in default_encoder_grid():
@@ -496,7 +496,7 @@ DEMO_OUTPUT_SHA256 = {
 
 def test_demo_outputs_are_pinned(tmp_path):
     out = tmp_path / "out"
-    run_experiment(demo_config(tmp_path, 5, 0, out_dir=str(out)))
+    run_experiment(demo_config(tmp_path, 5, 0, out=str(out)))
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
     }
