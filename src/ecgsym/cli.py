@@ -254,8 +254,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    labels, points = exp.load_features_csv(args.input, args.skip_header)
-    dataset = LabeledFeatureSet.from_rows(labels, points)
+    dataset = LabeledFeatureSet.from_codes(*exp.load_features_csv(args.input, args.skip_header))
     report = evaluate_distribution(dataset, args.mode)
     text = report.to_text()
     if args.out:

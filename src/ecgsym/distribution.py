@@ -16,13 +16,23 @@ import numpy as np
 MODES = ("forall", "exists")
 
 
+def code_labels(labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each label's class code as an (N,) intp array, and the class names:
+    the distinct ``str(label)`` values in first-appearance order."""
+    labels = list(map(str, labels))
+    index = {name: i for i, name in enumerate(dict.fromkeys(labels))}
+    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    return codes, tuple(index)
+
+
 class LabeledFeatureSet:
     """Named classes of finite points, held as one (N, d) array sorted by
     class: class ``names[i]`` is the block of ``sizes[i]`` rows of
     ``points`` that starts at row ``starts[i]``.
 
-    Built from a dict of non-empty (n_i, d) point collections, or from
-    (label, point) rows with :meth:`from_rows`.
+    Built from a dict of non-empty (n_i, d) point collections, from
+    (label, point) rows with :meth:`from_rows`, or from class codes and
+    names with :meth:`from_codes`.
     """
 
     def __init__(self, classes: dict):
@@ -46,19 +56,31 @@ class LabeledFeatureSet:
 
     @classmethod
     def from_rows(cls, labels, points) -> "LabeledFeatureSet":
-        """Group (label, point) rows by one stable sort, preserving
-        first-appearance order of the classes and row order within each."""
-        labels = list(map(str, labels))
+        """Group (label, point) rows, classes in first-appearance order and
+        rows in order within each: :func:`code_labels`, then :meth:`from_codes`."""
+        return cls.from_codes(*code_labels(labels), points)
+
+    @classmethod
+    def from_codes(cls, codes, names, points) -> "LabeledFeatureSet":
+        """Group rows by class code, row i being of class ``names[codes[i]]``,
+        by one stable sort: classes in the order of ``names``, rows in order
+        within each; a name no row uses is left out."""
+        codes = np.asarray(codes, dtype=np.intp)
         points = np.asarray(points, dtype=float)
-        if len(points) != len(labels):
-            raise ValueError(f"{len(labels)} labels for {len(points)} points")
-        if not labels:
+        if len(points) != len(codes):
+            raise ValueError(f"{len(codes)} labels for {len(points)} points")
+        if not len(codes):
             raise ValueError("no classes given")
-        index = {name: i for i, name in enumerate(dict.fromkeys(labels))}
-        codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
-        order = np.argsort(codes, kind="stable")
+        names = tuple(map(str, names))
+        if len(set(names)) != len(names):
+            raise ValueError("class names repeat")
+        if codes.min() < 0 or codes.max() >= len(names):
+            raise ValueError(f"class codes must lie in [0, {len(names)})")
+        sizes = np.bincount(codes, minlength=len(names))
+        used = np.flatnonzero(sizes).tolist()
+        points = points.take(np.argsort(codes, kind="stable"), axis=0)
         dataset = cls.__new__(cls)
-        dataset._hold(tuple(index), tuple(np.bincount(codes).tolist()), points.take(order, axis=0))
+        dataset._hold(tuple(names[i] for i in used), tuple(sizes[used].tolist()), points)
         return dataset
 
     @property

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distribution import DistributionReport, LabeledFeatureSet, evaluate_distribution
+from .distribution import DistributionReport, LabeledFeatureSet, code_labels, evaluate_distribution
 from .encoding import SLOPE, THRESHOLD, EncoderSpec, check_zero_tol, encode
 from .features import extract_features, min_valid_length
 from .filtering import (
@@ -186,14 +186,20 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class EncoderRun:
-    """Result of one grid entry: each segment's label and (entropy,
-    complexity) point in segment order, and the report with its pair
-    counts."""
+    """Result of one grid entry: each segment's class code into ``names``
+    and (entropy, complexity) point in segment order, and the report with
+    its pair counts."""
 
     label: str
-    labels: list[str]
+    codes: np.ndarray
+    names: tuple[str, ...]
     points: np.ndarray
     report: DistributionReport
+
+    @property
+    def labels(self) -> list[str]:
+        """Each segment's label, in segment order."""
+        return np.array(self.names, dtype=object)[self.codes].tolist()
 
     @property
     def rows(self) -> list[tuple[str, float, float]]:
@@ -201,10 +207,10 @@ class EncoderRun:
         return list(zip(self.labels, *self.points.T.tolist()))
 
 
-def evaluate_entry(label: str, labels, points, mode: str = "forall") -> EncoderRun:
-    """Group one entry's points by label once and evaluate the overlap."""
-    report = evaluate_distribution(LabeledFeatureSet.from_rows(labels, points), mode)
-    return EncoderRun(label, labels, points, report)
+def evaluate_entry(label: str, codes, names, points, mode: str = "forall") -> EncoderRun:
+    """Group one entry's points by class code once and evaluate the overlap."""
+    report = evaluate_distribution(LabeledFeatureSet.from_codes(codes, names, points), mode)
+    return EncoderRun(label, codes, names, points, report)
 
 
 @dataclass(eq=False)
@@ -225,18 +231,62 @@ def rank_entries(entries: list[EncoderRun]) -> list[int]:
     return sorted(range(len(entries)), key=lambda i: entries[i].report.overlap_per_element)
 
 
-def load_features_csv(path, skip_header: bool = False):
-    """Read label,entropy,complexity rows; returns (labels, (N, 2) points).
+def _code_label_column(text: str, rows: int):
+    """Class codes and names of the labels of ``text``, in one numpy pass
+    over its UTF-8 bytes, or None unless it holds ``rows`` rows and twice
+    as many commas, with no non-empty row that lacks one.
 
-    Both numeric columns are parsed in one pass (:func:`parse_columns`);
-    the rows are read one at a time only when that pass gives no values,
+    A label is a row's bytes before its first comma. Rows are grouped by
+    their label's bytes and length (so ``a`` and ``a\\x00`` stay apart);
+    only the distinct raw labels are decoded and stripped, and those that
+    strip to one name form one class. A label too wide to pad every row
+    to leaves the file to the row loop.
+    """
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    marks = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    kinds = np.append(data[marks], ord("\n"))  # the text's end ends its last row
+    marks = np.append(marks, len(data))
+    ends = np.flatnonzero(kinds == ord("\n"))  # in marks, each row's end
+    firsts = np.append(0, ends[:-1] + 1)  # in marks, each row's first mark
+    starts = np.append(0, marks[ends[:-1]] + 1)
+    labeled = firsts < ends
+    if (marks[ends[~labeled]] > starts[~labeled]).any():  # a non-empty row with no comma
+        return None
+    if np.count_nonzero(labeled) != rows or len(marks) - len(ends) != 2 * rows:
+        return None
+    starts, cuts = starts[labeled], marks[firsts[labeled]]
+    width = int((cuts - starts).max())
+    if rows * width > len(data):
+        return None
+    # a row's key: its label's bytes and comma, padded with that comma to
+    # one width; a label holds no comma, so its first one marks its length
+    keys = data.take(np.minimum(starts + np.arange(width + 1)[:, None], cuts))
+    # one key per run of equal rows, so a file of one class sorts one key
+    heads = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+    _, first, inverse = np.unique(keys[:, heads].T, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct raw labels in first-appearance order
+    merged, names = code_labels(
+        data[starts[row] : cuts[row]].tobytes().decode().strip() for row in heads[first[order]]
+    )
+    codes = merged[np.argsort(order)][inverse.reshape(-1)]
+    return np.repeat(codes, np.diff(np.append(heads, rows))), names
+
+
+def load_features_csv(path, skip_header: bool = False):
+    """Read label,entropy,complexity rows; returns (codes, names, points):
+    row i has label ``names[codes[i]]`` (names in first-appearance order)
+    and point ``points[i]`` of an (N, 2) array.
+
+    Both numeric columns are parsed in one pass (:func:`parse_columns`)
+    and the labels coded in another (:func:`_code_label_column`); the
+    rows are read one at a time only when those passes give no values,
     to name the first bad row or to take a literal that numpy rejects.
     """
     text, first = read_rows(path, skip_header)
-    labels = [line.partition(",")[0].strip() for line in text.split("\n") if line.strip()]
     points = parse_columns(text, (1, 2), ",")
-    if points is not None and len(points) == len(labels) and text.count(",") == 2 * len(labels):
-        return labels, points
+    coded = None if points is None else _code_label_column(text, len(points))
+    if coded is not None:
+        return (*coded, points)
     labels, rows = [], []
     for row_no, line in numbered_rows(text, first):
         parts = [p.strip() for p in line.split(",")]
@@ -252,7 +302,7 @@ def load_features_csv(path, skip_header: bool = False):
         labels.append(parts[0])
     if not labels:
         raise ValueError(f"{path}: no feature rows")
-    return labels, np.array(rows)
+    return (*code_labels(labels), np.array(rows))
 
 
 def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) -> LabeledFeatureSet:
@@ -339,12 +389,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     entry labeled 'precomputed' is produced.
     """
     if config.features:
-        labels, points = [], []
+        labels, codes, points = [], [], []
         for path in config.features:
-            file_labels, file_points = load_features_csv(path, config.skip_header)
-            labels += file_labels
+            file_codes, names, file_points = load_features_csv(path, config.skip_header)
+            codes.append(file_codes + len(labels))
+            labels += names
             points.append(file_points)
-        entries = [evaluate_entry("precomputed", labels, np.concatenate(points), config.mode)]
+        # each file's few names are coded once into the run's classes
+        remap, names = code_labels(labels)
+        codes = remap[np.concatenate(codes)]
+        entries = [evaluate_entry("precomputed", codes, names, np.concatenate(points), config.mode)]
         skipped = dropped = 0
     else:
         _check_grid_lengths(config)
@@ -353,11 +407,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.filter:
             plan = PaddingPlan(config.pad_before, config.pad_after)
             signal = filter_compensated(make_bandpass(), signal, plan)
+        codes, names = code_labels(segments.labels)
         entries = []
         for spec in config.grid:
             fv = extract_features(encode(signal, spec, config.zero_tol))
             points = np.column_stack((fv.h_norm, fv.c_norm))
-            entries.append(evaluate_entry(spec.label, segments.labels, points, config.mode))
+            entries.append(evaluate_entry(spec.label, codes, names, points, config.mode))
     counts = dict(zip(entries[0].report.class_names, entries[0].report.class_sizes))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out is not None:
@@ -431,7 +486,7 @@ def write_reports(entries: list[EncoderRun], out_dir) -> list[Path]:
 def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
     """Write per-encoder scatter files and the ranked summary table; a label
     with a comma or a newline, which would break the rows, raises first."""
-    for label in {label for entry in entries for label in entry.labels}:
+    for label in {name for entry in entries for name in entry.report.class_names}:
         if any(c in label for c in ",\r\n"):
             raise ValueError(f"label {label!r} contains a comma or a newline")
     out = Path(out_dir)

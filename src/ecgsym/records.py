@@ -97,7 +97,7 @@ def read_rows(path, skip_header: bool = False) -> tuple[str, int]:
     after universal-newline decoding (``str.splitlines`` would also split
     on ``\\x0c``, ``\\x1c`` or ``\\u2028`` and so misnumber the rows).
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         if skip_header:
             fh.readline()
         return fh.read(), 2 if skip_header else 1
@@ -195,7 +195,7 @@ class LabelSpan:
 def read_label_sidecar(path, delimiter: str = ",") -> list[LabelSpan]:
     """Parse a sidecar of rows record_id, start_sample, end_sample, label."""
     spans = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecgsym.distribution import (
     LabeledFeatureSet,
     centroid,
+    code_labels,
     evaluate_distribution,
     report_from_counts,
 )
+from ecgsym.experiment import ExperimentConfig, pairwise_table, run_experiment
 
 from oracles import at_least_as_far, overlap_counts
 
@@ -296,6 +298,81 @@ def test_from_rows_matches_grouping_row_by_row(case):
     assert ds.names == tuple(grouped)
     for name, rows in grouped.items():
         assert ds.classes[name].tobytes() == np.array(rows, dtype=float).tobytes()
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from(["a", "b", "1", 1, 2.5, None]), min_size=1, max_size=20).flatmap(
+        lambda labels: st.tuples(
+            st.just(labels),
+            st.lists(
+                st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                min_size=len(labels),
+                max_size=len(labels),
+            ),
+            st.integers(0, 6),
+        )
+    )
+)
+def test_from_codes_equals_from_rows(case):
+    labels, pts, unused_at = case
+    want = LabeledFeatureSet.from_rows(labels, pts)
+    codes, names = code_labels(labels)
+    assert [names[code] for code in codes] == [str(label) for label in labels]
+    # the same classes with a name no row uses slotted in among the names
+    at = min(unused_at, len(names))
+    padded = (codes + (codes >= at), names[:at] + ("unused",) + names[at:])
+    for got in (
+        LabeledFeatureSet.from_codes(codes, names, pts),
+        LabeledFeatureSet.from_codes(*padded, pts),
+    ):
+        assert (got.names, got.sizes) == (want.names, want.sizes)
+        assert got.points.tobytes() == want.points.tobytes()
+
+
+def test_from_codes_rejects_bad_codes_and_names():
+    with pytest.raises(ValueError, match="2 labels for 1 points"):
+        LabeledFeatureSet.from_codes([0, 0], ["a"], [(0, 0)])
+    with pytest.raises(ValueError, match=r"class codes must lie in \[0, 2\)"):
+        LabeledFeatureSet.from_codes([0, 2], ["a", "b"], [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"class codes must lie in \[0, 2\)"):
+        LabeledFeatureSet.from_codes([-1, 1], ["a", "b"], [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="class names repeat"):
+        LabeledFeatureSet.from_codes([0, 1], [1, "1"], [(0, 0), (1, 1)])
+
+
+@pytest.fixture(scope="module")
+def feature_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("features")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from("ABC"), min_size=4, max_size=24).filter(
+        lambda labels: len(set(labels)) > 1
+    ),
+    st.integers(1, 23),
+    st.integers(0, 2**32 - 1),
+)
+@example(list("ABABCB"), 3, 0)  # the second file repeats class B and introduces class C
+def test_features_split_across_files_equal_one_file(feature_dir, labels, cut, seed):
+    cut = min(cut, len(labels) - 1)
+    rows = [
+        f"{label},{x!r},{y!r}\n"
+        for label, (x, y) in zip(labels, np.random.default_rng(seed).random((len(labels), 2)).tolist())
+    ]
+    paths = [feature_dir / name for name in ("whole.csv", "head.csv", "tail.csv")]
+    for path, part in zip(paths, (rows, rows[:cut], rows[cut:])):
+        path.write_text("".join(part))
+    whole, split = (
+        run_experiment(ExperimentConfig(features=tuple(map(str, group))))
+        for group in (paths[:1], paths[1:])
+    )
+    assert split.entries[0].report == whole.entries[0].report
+    assert split.entries[0].labels == whole.entries[0].labels == labels
+    names = whole.entries[0].report.class_names
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    assert pairwise_table(split, pairs) == pairwise_table(whole, pairs)
 
 
 def test_from_rows_rejects_unequal_lengths():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgsym.distribution import LabeledFeatureSet, evaluate_distribution
+from ecgsym.distribution import LabeledFeatureSet, code_labels, evaluate_distribution
 from ecgsym.encoding import EncoderSpec, encode
 from ecgsym.experiment import (
     EncoderRun,
@@ -299,8 +299,8 @@ def test_load_features_csv_errors(tmp_path):
 # --- pairwise ranking ------------------------------------------------------------------
 
 def entry_from_dataset(label: str, ds: LabeledFeatureSet) -> EncoderRun:
-    labels = [name for name, size in zip(ds.names, ds.sizes) for _ in range(size)]
-    return evaluate_entry(label, labels, ds.points)
+    codes = np.repeat(np.arange(len(ds.names)), ds.sizes)
+    return evaluate_entry(label, codes, ds.names, ds.points)
 
 
 def test_pairwise_prefers_separated_entry():
@@ -366,7 +366,7 @@ def tied_results(draw):
     entries = [
         evaluate_entry(
             label,
-            labels,
+            *code_labels(labels),
             np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=len(labels), max_size=len(labels)))),
         )
         for label in ("first", "second")

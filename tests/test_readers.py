@@ -66,9 +66,15 @@ def text_files(draw):
     return text, delimiter, draw(st.integers(0, 2)), draw(st.booleans())
 
 
+LABELS = st.sampled_from(
+    # non-ASCII; three that strip to "a"; NUL-bearing; one wider than a word
+    [" c ", "d d", "\x1ce", "", "\xe9", " a", "\xa0a\xa0", "a\x00", "\x00", "0123456789" * 4]
+)
+
+
 @st.composite
 def feature_row(draw):
-    label = draw(rarely(st.sampled_from([" c ", "d d", "\x1ce", ""]), st.sampled_from("ab"), 10))
+    label = draw(rarely(LABELS, st.sampled_from("ab"), 4))
     count = draw(rarely(st.sampled_from([1, 3]), st.just(2), 15))
     return ",".join([label] + [padded(draw(FIELDS), draw) for _ in range(count)])
 
@@ -116,6 +122,16 @@ def test_text_reader_matches_row_loop(path, case):
 @example(("\na,1,2\nb,3,4\n", True))
 @example(("a, 1_0 ,2\n", False))
 @example(("a,1,2\r\n\r\n b ,3,4,5\r\n", False))
+@example(  # interleaved classes; long fields let the 40-character label take the one pass
+    (
+        "".join(
+            f"{label},0.7600584176874715,0.5894316109366958\n"
+            for label in ["b", "a", " a", "a\x00", "\x00", "0123456789" * 4, "\xa0a\xa0", "b", "\xe9", "a"]
+        ),
+        False,
+    )
+)
+@example((",1,2\n ,3,4\n", False))  # the only label is empty
 def test_feature_reader_matches_row_loop(path, case):
     text, skip_header = case
     path.write_text(text, newline="")
@@ -123,9 +139,12 @@ def test_feature_reader_matches_row_loop(path, case):
     got = outcome(load_features_csv, path, skip_header)
     assert got[0] == want[0]
     if want[0] == "ok":
-        assert got[1][0] == want[1][0]
-        assert got[1][1].shape == (len(want[1][0]), 2)
-        assert bits(got[1][1]) == bits(want[1][1])
+        codes, names, points = got[1]
+        assert codes.dtype == np.intp
+        assert names == tuple(dict.fromkeys(want[1][0]))
+        assert [names[code] for code in codes] == want[1][0]
+        assert points.shape == (len(want[1][0]), 2)
+        assert bits(points) == bits(want[1][1])
     else:
         assert got[1] == want[1]
 

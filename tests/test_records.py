@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgsym.experiment import load_features_csv
 from ecgsym.filtering import Signal
 from ecgsym.records import (
     LabelSpan,
@@ -13,6 +14,7 @@ from ecgsym.records import (
     parse_format212,
     read_binary_record,
     read_label_sidecar,
+    read_rows,
     read_text_signal,
 )
 
@@ -252,6 +254,22 @@ def test_read_label_sidecar(tmp_path):
     path.write_text("# record,start,end,label\nr1,0,720,Normal\nr1,720,1440,AFIB\n")
     spans = read_label_sidecar(path)
     assert spans == [LabelSpan("r1", 0, 720, "Normal"), LabelSpan("r1", 720, 1440, "AFIB")]
+
+
+def test_read_label_sidecar_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbfrec,0,720,Normal\n")
+    assert read_label_sidecar(path) == [LabelSpan("rec", 0, 720, "Normal")]
+
+
+def test_read_rows_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,0.1,0.2\na,0.15,0.25\nb,0.8,0.9\nb,0.85,0.95\n")
+    assert read_rows(path) == ("a,0.1,0.2\na,0.15,0.25\nb,0.8,0.9\nb,0.85,0.95\n", 1)
+    assert read_rows(path, skip_header=True)[0].startswith("a,0.15")
+    codes, names, _ = load_features_csv(path)
+    assert names == ("a", "b")
+    assert codes.tolist() == [0, 0, 1, 1]
 
 
 def test_read_label_sidecar_bad_row(tmp_path):
