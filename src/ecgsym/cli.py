@@ -32,7 +32,7 @@ from .filtering import (
     make_highpass,
     make_lowpass,
 )
-from .records import read_label_sidecar, read_text_signal
+from .records import numbered_rows, read_label_sidecar, read_rows, read_text_signal
 
 
 class UsageError(Exception):
@@ -62,6 +62,14 @@ def _read_signal(args) -> Signal:
         skip_header=args.skip_header,
         sample_rate=args.sample_rate,
     )
+
+
+def _write_output(out, text: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is not given."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _add_record_flags(p):
@@ -200,13 +208,8 @@ def cmd_filter(args) -> int:
             return 0
     if args.input is None:
         raise UsageError("filter needs an input signal or --response")
-    signal = _read_signal(args)
-    out = filter_compensated(coeffs, signal, plan)
-    text = "\n".join(repr(float(v)) for v in out.samples) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    out = filter_compensated(coeffs, _read_signal(args), plan)
+    _write_output(args.out, "\n".join(repr(float(v)) for v in out.samples) + "\n")
     return 0
 
 
@@ -218,38 +221,27 @@ def cmd_encode(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     seq = encode(_read_signal(args), spec, args.zero_tol)
-    text = "\n".join(str(int(v)) for v in seq.symbols) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, "\n".join(str(int(v)) for v in seq.symbols) + "\n")
     return 0
 
 
 def cmd_features(args) -> int:
     values = []
-    with open(args.input) as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{args.input}: row {row_no} is not a symbol: {line!r}") from None
+    for row_no, line in numbered_rows(*read_rows(args.input)):
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ValueError(f"{args.input}: row {row_no} is not a symbol: {line!r}") from None
     seq = SymbolSequence(np.array(values), args.alphabet)
     fv = extract_features(seq, enforce_min_length=not args.allow_short)
-    text = (
+    _write_output(
+        args.out,
         f"length = {len(seq)}\n"
         f"entropy_bits = {shannon_entropy(seq)!r}\n"
         f"entropy_norm = {fv.h_norm!r}\n"
         f"phrase_count = {lz_complexity(seq)}\n"
-        f"complexity_norm = {fv.c_norm!r}\n"
+        f"complexity_norm = {fv.c_norm!r}\n",
     )
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -374,17 +366,17 @@ def cmd_synth(args) -> int:
         dataset = exp.make_clusters(centers, args.per_class, args.spread, args.seed, names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report = evaluate_distribution(dataset, args.mode)
-    print(report.to_text(), end="")
-    if args.out:
+    text = evaluate_distribution(dataset, args.mode).to_text()
+    if args.out:  # the files first, so a refused name prints nothing
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["label,entropy,complexity"]
-        for name, pts in dataset.classes.items():
-            lines += [f"{name},{float(p[0])!r},{float(p[1])!r}" for p in pts]
-        (out / "features.csv").write_text("\n".join(lines) + "\n")
-        (out / "report.txt").write_text(report.to_text())
-        print(f"features and report written to {out}")
+        codes = np.repeat(np.arange(len(dataset.names)), dataset.sizes)
+        try:
+            exp.write_features_csv(out / "features.csv", dataset.names, codes, dataset.points)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        (out / "report.txt").write_text(text)
+        text += f"features and report written to {out}\n"
+    print(text, end="")
     return 0
 
 

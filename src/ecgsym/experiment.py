@@ -83,40 +83,43 @@ def parse_encoder_line(line: str) -> EncoderSpec:
 
 
 def parse_grid_file(path) -> list[EncoderSpec]:
+    """One encoder per grid line; ``#`` starts a comment anywhere in a row."""
     grid = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                grid.append(parse_encoder_line(line))
+    for row_no, line in numbered_rows(*read_rows(path)):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            grid.append(parse_encoder_line(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from None
     if not grid:
         raise ValueError(f"{path}: empty encoder grid")
     return grid
 
 
 def load_config_file(path, keys=None) -> dict[str, str]:
-    """Read a flat 'key = value' configuration file.
+    """Read a flat 'key = value' file; ``#`` starts a comment anywhere in a row.
 
     With ``keys`` given, a key outside it raises with its row number; a
     repeated key raises with both row numbers.
     """
     values: dict[str, str] = {}
     rows: dict[str, int] = {}
-    with open(path) as fh:
-        for row_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: row {row_no} is not 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if keys is not None and key not in keys:
-                raise ValueError(f"{path}: row {row_no}: unknown key {key!r}")
-            if key in rows:
-                raise ValueError(f"{path}: row {row_no}: key {key!r} repeats row {rows[key]}")
-            rows[key] = row_no
-            values[key] = value.strip()
+    for row_no, line in numbered_rows(*read_rows(path)):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: row {row_no} is not 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if keys is not None and key not in keys:
+            raise ValueError(f"{path}: row {row_no}: unknown key {key!r}")
+        if key in rows:
+            raise ValueError(f"{path}: row {row_no}: key {key!r} repeats row {rows[key]}")
+        rows[key] = row_no
+        values[key] = value.strip()
     return values
 
 
@@ -200,11 +203,6 @@ class EncoderRun:
     def labels(self) -> list[str]:
         """Each segment's label, in segment order."""
         return np.array(self.names, dtype=object)[self.codes].tolist()
-
-    @property
-    def rows(self) -> list[tuple[str, float, float]]:
-        """(label, entropy, complexity) per segment, in segment order."""
-        return list(zip(self.labels, *self.points.T.tolist()))
 
 
 def evaluate_entry(label: str, codes, names, points, mode: str = "forall") -> EncoderRun:
@@ -483,21 +481,31 @@ def write_reports(entries: list[EncoderRun], out_dir) -> list[Path]:
     return paths
 
 
+def write_features_csv(path, names, codes, points) -> Path:
+    """Write the label,entropy,complexity rows that :func:`load_features_csv`
+    reads back, row i labeled ``names[codes[i]]``; a name with a comma or a
+    newline, which would break the rows, raises before anything is made."""
+    for name in names:
+        if any(c in name for c in ",\r\n"):
+            raise ValueError(f"label {name!r} contains a comma or a newline")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    labels = np.array(names, dtype=object)[codes].tolist()
+    lines = ["label,entropy,complexity"]
+    lines += [f"{label},{h!r},{c!r}" for label, (h, c) in zip(labels, points.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
-    """Write per-encoder scatter files and the ranked summary table; a label
-    with a comma or a newline, which would break the rows, raises first."""
-    for label in {name for entry in entries for name in entry.report.class_names}:
-        if any(c in label for c in ",\r\n"):
-            raise ValueError(f"label {label!r} contains a comma or a newline")
+    """Write per-encoder scatter files (:func:`write_features_csv`) and the
+    ranked summary table."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, entry in enumerate(entries):
         path = out / f"scatter_{i:02d}_{_slug(entry.label)}.csv"
-        lines = ["label,entropy,complexity"]
-        lines += [f"{label},{h!r},{c!r}" for label, h, c in entry.rows]
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
+        paths.append(write_features_csv(path, entry.names, entry.codes, entry.points))
+    out.mkdir(parents=True, exist_ok=True)
     summary = out / "summary.csv"
     lines = ["rank,encoder,total_overlap,overlap_per_element,overlap_per_class,mode"]
     for rank, idx in enumerate(rank_entries(entries), start=1):

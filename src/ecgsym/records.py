@@ -91,7 +91,8 @@ def read_binary_record(
 
 def read_rows(path, skip_header: bool = False) -> tuple[str, int]:
     """The text of a file after its optional header row, and the 1-based
-    number of its first row.
+    number of its first row; every text input is read here, as UTF-8 with
+    any leading byte-order mark dropped.
 
     Rows are what iterating the file yields: the text split on ``\\n``
     after universal-newline decoding (``str.splitlines`` would also split
@@ -192,21 +193,19 @@ class LabelSpan:
             raise ValueError("label must be non-empty")
 
 
-def read_label_sidecar(path, delimiter: str = ",") -> list[LabelSpan]:
-    """Parse a sidecar of rows record_id, start_sample, end_sample, label."""
+def read_label_sidecar(path) -> list[LabelSpan]:
+    """Parse rows record_id, start_sample, end_sample, label; a row led by ``#`` is a comment."""
     spans = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(delimiter)]
-            if len(parts) != 4:
-                raise ValueError(f"{path}: row {row_no} needs 4 fields, got {len(parts)}")
-            try:
-                spans.append(LabelSpan(parts[0], int(parts[1]), int(parts[2]), parts[3]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from None
+    for row_no, line in numbered_rows(*read_rows(path)):
+        if line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise ValueError(f"{path}: row {row_no} needs 4 fields, got {len(parts)}")
+        try:
+            spans.append(LabelSpan(parts[0], int(parts[1]), int(parts[2]), parts[3]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from None
     return spans
 
 

@@ -714,12 +714,16 @@ def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, val
             (["--spread", "inf"], "spread must be finite and non-negative"),
             (["--centers", "0,0;nan,1"], "cluster centers must be finite"),
             (["--names", "a,b"], "need one name per center"),
+            # a name the features.csv rows cannot hold
+            (["--classes", "2", "--names", "x\ny,z"], "label 'x\\ny' contains a comma or a newline"),
         ]
     ],
 )
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags, message):
     assert main(["synth", *flags, "--out", str(tmp_path / "out")]) == 1
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -127,6 +127,14 @@ def test_parse_grid_file(tmp_path):
         parse_grid_file(empty)
 
 
+def test_parse_grid_file_names_the_file_and_row_of_a_bad_line(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("# comment\nslope binary\n\nslope x  # inline\n")
+    with pytest.raises(ValueError) as info:
+        parse_grid_file(path)
+    assert str(info.value) == f"{path}: row 4: unknown alphabet 'x' in grid line 'slope x'"
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("segment_length = 720\nmode = exists # trailing\n\n# full comment\n")
@@ -195,7 +203,7 @@ def test_run_bookkeeping(record_setup):
     assert result.class_counts == {"steady": 3, "erratic": 3}
     assert result.skipped_windows == 0
     assert result.dropped_partials == 0
-    assert len(result.entries[0].rows) == 6
+    assert len(result.entries[0].labels) == 6
 
 
 def test_run_rejects_segment_length_below_validity_bound(record_setup):
@@ -208,7 +216,7 @@ def test_run_pipeline_conservation(record_setup):
     result = run_experiment(base_config(record_setup))
     for entry in result.entries:
         assert entry.report.class_sizes == (3, 3)
-        labels = [label for label, _, _ in entry.rows]
+        labels = entry.labels
         assert labels.count("steady") == 3 and labels.count("erratic") == 3
 
 

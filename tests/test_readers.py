@@ -3,16 +3,21 @@
 Random files mix blank and whitespace-only rows, CRLF and CR line ends,
 padded fields, short and long rows, nan and inf, and literals that float()
 accepts and numpy rejects (``1_0``). A valid file must give bit-identical
-values and labels; a bad one the same message naming the same row.
+values and labels; a bad one the same message naming the same row. Every
+text reader drops a leading byte-order mark and numbers its rows alike.
 """
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecgsym.experiment import load_features_csv
-from ecgsym.records import parse_columns, read_rows, read_text_signal
+from ecgsym.cli import main
+from ecgsym.experiment import load_config_file, load_features_csv, parse_grid_file
+from ecgsym.records import parse_columns, read_label_sidecar, read_rows, read_text_signal
 
 from oracles import read_feature_rows, read_text_column
 
@@ -174,7 +179,7 @@ def test_row_loop_cases_skip_the_one_pass_parse(text, delimiter):
     assert parse_columns(text, (0,), delimiter) is None
 
 
-def test_rows_are_counted_on_newlines_only(path):
+def test_rows_are_counted_on_newlines_only(path, capsys):
     # \x0c, \x1c and \u2028 end a row for str.splitlines but not for the file iterator
     path.write_text("1\n2\x0c\n\u2028\nbad\n", newline="")
     with pytest.raises(ValueError, match=r": row 4 column 0 is not a number: 'bad'$"):
@@ -182,3 +187,51 @@ def test_rows_are_counted_on_newlines_only(path):
     path.write_text("a,1,2\x1c\nb,3\n", newline="")
     with pytest.raises(ValueError, match=r": row 2 needs label,entropy,complexity$"):
         load_features_csv(path)
+    # the other readers: a bad row 4 after a \r\n, a \r and a \x0c-bearing row
+    def write(rows):
+        path.write_text("{}\r\n{}\r{}\n{}\n".format(*rows), newline="")
+
+    for read, rows, message in [
+        (read_label_sidecar, ["r,0,1,a", "r,1,2,a", "\x0cr,2,3,a\x0c", "r,0"], "row 4 needs 4 fields"),
+        (load_config_file, ["mode = forall", "stride = 1", "\x0c# note", "no key"], "row 4 is not 'key"),
+        (parse_grid_file, ["slope binary", "slope 3", "\x0c# note", "slope x"], "row 4: unknown alphabet"),
+    ]:
+        write(rows)
+        with pytest.raises(ValueError, match=f": {message}"):
+            read(path)
+    write(["0", "1", "\x0c1\x0c", "bad"])
+    assert main(["features", str(path), "--alphabet", "2", "--allow-short"]) == 2
+    assert capsys.readouterr().err.endswith(": row 4 is not a symbol: 'bad'\n")
+
+
+def symbol_features(path):
+    """Exit code and stdout of ``ecgsym features`` on a symbol file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["features", str(path), "--alphabet", "2", "--allow-short"])
+    return code, out.getvalue()
+
+
+def as_plain(value):
+    """A reader's result with its arrays as lists, so == compares it whole."""
+    if isinstance(value, tuple):
+        return tuple(map(as_plain, value))
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        pytest.param(lambda p: read_text_signal(p).samples, "1.5\n-2\n3\n", id="text-signal"),
+        pytest.param(load_features_csv, "a,0.1,0.2\nb,0.3,0.4\n", id="feature-file"),
+        pytest.param(read_label_sidecar, "rec,0,720,Normal\n# note\n", id="sidecar"),
+        pytest.param(parse_grid_file, "slope binary\nthreshold 3 1/12\n", id="grid-file"),
+        pytest.param(load_config_file, "mode = exists\nstride = 180\n", id="config-file"),
+        pytest.param(symbol_features, "0\n1\n1\n0\n", id="symbol-file"),
+    ],
+)
+def test_a_leading_byte_order_mark_changes_nothing(path, read, text):
+    path.write_bytes(text.encode())
+    plain = as_plain(read(path))
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert as_plain(read(path)) == plain
