@@ -84,7 +84,6 @@ def _add_record_flags(p):
     p.add_argument("--segment-length", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
-    return p
 
 
 def _add_run_flags(p):
@@ -99,73 +98,6 @@ def _add_run_flags(p):
     p.add_argument("--grid", default=None, help="encoder grid file")
     p.add_argument("--zero-tol", type=float, default=None)
     p.add_argument("--mode", choices=("forall", "exists"), default=None)
-    return p
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ecgsym", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="read records, attach labels, report segment counts")
-    _add_record_flags(p).set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("filter", help="compensated filtering of a text signal")
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--kind", choices=sorted(_FILTER_KINDS), default="bandpass")
-    p.add_argument("--pad-before", type=int, default=exp.DEFAULT_PAD)
-    p.add_argument("--pad-after", type=int, default=exp.DEFAULT_PAD)
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--response", default=None, help="write magnitude/phase response CSV")
-    _add_text_signal_flags(p)
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("encode", help="encode a text signal into symbols")
-    p.add_argument("input")
-    p.add_argument("--method", choices=("slope", "threshold"), required=True)
-    p.add_argument("--alphabet", type=int, choices=(2, 3), required=True)
-    p.add_argument("--deviation", default=None, help="threshold offset, e.g. 1/12 or -0.05")
-    p.add_argument("--zero-tol", type=float, default=0.0)
-    p.add_argument("--out", default=None)
-    _add_text_signal_flags(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("features", help="entropy/complexity of a symbol file")
-    p.add_argument("input", help="file with one symbol per line")
-    p.add_argument("--alphabet", type=int, choices=(2, 3), required=True)
-    p.add_argument("--allow-short", action="store_true", help="skip the minimum-length check")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("evaluate", help="overlap report of a label,entropy,complexity CSV")
-    p.add_argument("input")
-    p.add_argument("--skip-header", action="store_true")
-    p.add_argument("--mode", choices=("forall", "exists"), default="forall")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    for name, help_text in (
-        ("run", "full pipeline: ingest, filter, encode, featurize, evaluate, rank"),
-        ("pairs", "best encoder per class pair"),
-    ):
-        p = _add_run_flags(sub.add_parser(name, help=help_text))
-        if name == "pairs":
-            p.add_argument("--pairs", default=None, help="comma-separated A:B pairs (default: all)")
-            p.set_defaults(func=cmd_pairs)
-        else:
-            p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("synth", help="synthetic Gaussian clusters in the feature plane")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--per-class", type=int, default=200)
-    p.add_argument("--spread", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--centers", default=None, help="'x,y;x,y;...' (default: ring layout)")
-    p.add_argument("--names", default=None, help="comma-separated class names")
-    p.add_argument("--mode", choices=("forall", "exists"), default="forall")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_synth)
-
-    return parser
 
 
 def cmd_ingest(args) -> int:
@@ -186,6 +118,16 @@ def cmd_ingest(args) -> int:
         (out / "segments.csv").write_text("\n".join(lines) + "\n")
         print(f"manifest written to {out / 'segments.csv'}")
     return 0
+
+
+def _add_filter_flags(p):
+    p.add_argument("input", nargs="?", default=None)
+    p.add_argument("--kind", choices=sorted(_FILTER_KINDS), default="bandpass")
+    p.add_argument("--pad-before", type=int, default=exp.DEFAULT_PAD)
+    p.add_argument("--pad-after", type=int, default=exp.DEFAULT_PAD)
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--response", default=None, help="write magnitude/phase response CSV")
+    _add_text_signal_flags(p)
 
 
 def cmd_filter(args) -> int:
@@ -213,6 +155,16 @@ def cmd_filter(args) -> int:
     return 0
 
 
+def _add_encode_flags(p):
+    p.add_argument("input")
+    p.add_argument("--method", choices=("slope", "threshold"), required=True)
+    p.add_argument("--alphabet", type=int, choices=(2, 3), required=True)
+    p.add_argument("--deviation", default=None, help="threshold offset, e.g. 1/12 or -0.05")
+    p.add_argument("--zero-tol", type=float, default=0.0)
+    p.add_argument("--out", default=None)
+    _add_text_signal_flags(p)
+
+
 def cmd_encode(args) -> int:
     try:
         deviation = None if args.deviation is None else exp.parse_fraction(args.deviation)
@@ -223,6 +175,13 @@ def cmd_encode(args) -> int:
     seq = encode(_read_signal(args), spec, args.zero_tol)
     _write_output(args.out, "\n".join(str(int(v)) for v in seq.symbols) + "\n")
     return 0
+
+
+def _add_features_flags(p):
+    p.add_argument("input", help="file with one symbol per line")
+    p.add_argument("--alphabet", type=int, choices=(2, 3), required=True)
+    p.add_argument("--allow-short", action="store_true", help="skip the minimum-length check")
+    p.add_argument("--out", default=None)
 
 
 def cmd_features(args) -> int:
@@ -243,6 +202,13 @@ def cmd_features(args) -> int:
         f"complexity_norm = {fv.c_norm!r}\n",
     )
     return 0
+
+
+def _add_evaluate_flags(p):
+    p.add_argument("input")
+    p.add_argument("--skip-header", action="store_true")
+    p.add_argument("--mode", choices=("forall", "exists"), default="forall")
+    p.add_argument("--out", default=None)
 
 
 def cmd_evaluate(args) -> int:
@@ -267,13 +233,14 @@ def _bool_from_text(value: str) -> bool:
 def _config_from_args(args) -> exp.ExperimentConfig:
     """ExperimentConfig of the ingest, run or pairs flags over the --config file.
 
-    The run/pairs flag dests are the ExperimentConfig fields; the file's
-    keys are the same names except ``features``, and each value is cast
-    like its flag's argument. A flag that differs from its default
+    The flag specs are those of the subparser that parsed ``args`` whose
+    dests are ExperimentConfig fields (all of them for run and pairs); the
+    file's keys are the same names except ``features``, and each value is
+    cast like its flag's argument. A flag that differs from its default
     overrides the file. Any error in the flags or the file is a usage error.
     """
-    flags = {a.dest: a for a in _add_run_flags(_Parser(add_help=False))._actions}
-    del flags["config"]
+    fields = {field.name for field in dataclasses.fields(exp.ExperimentConfig)}
+    flags = {a.dest: a for a in args.parser._actions if a.dest in fields}
     try:
         values = {}
         if getattr(args, "config", None):  # ingest has no --config
@@ -316,6 +283,11 @@ def _check_pair_names(pairs, names) -> None:
         raise UsageError(f"unknown class name(s) in --pairs: {', '.join(unknown)}")
 
 
+def _add_pairs_flags(p):
+    _add_run_flags(p)
+    p.add_argument("--pairs", default=None, help="comma-separated A:B pairs (default: all)")
+
+
 def cmd_pairs(args) -> int:
     config = _config_from_args(args)
     pairs = None
@@ -353,6 +325,17 @@ def _ring_centers(m: int) -> np.ndarray:
     return np.stack([0.5 + 0.25 * np.cos(angles), 0.6 + 0.25 * np.sin(angles)], axis=1)
 
 
+def _add_synth_flags(p):
+    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--per-class", type=int, default=200)
+    p.add_argument("--spread", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--centers", default=None, help="'x,y;x,y;...' (default: ring layout)")
+    p.add_argument("--names", default=None, help="comma-separated class names")
+    p.add_argument("--mode", choices=("forall", "exists"), default="forall")
+    p.add_argument("--out", default=None)
+
+
 def cmd_synth(args) -> int:
     if args.centers:
         try:
@@ -363,32 +346,54 @@ def cmd_synth(args) -> int:
         centers = _ring_centers(args.classes)
     names = args.names.split(",") if args.names else None
     try:
+        for name in names or ():  # the features.csv rule, with or without --out
+            exp.check_label(name)
         dataset = exp.make_clusters(centers, args.per_class, args.spread, args.seed, names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     text = evaluate_distribution(dataset, args.mode).to_text()
-    if args.out:  # the files first, so a refused name prints nothing
+    if args.out:
         out = Path(args.out)
         codes = np.repeat(np.arange(len(dataset.names)), dataset.sizes)
-        try:
-            exp.write_features_csv(out / "features.csv", dataset.names, codes, dataset.points)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        exp.write_features_csv(out / "features.csv", dataset.names, codes, dataset.points)
         (out / "report.txt").write_text(text)
         text += f"features and report written to {out}\n"
     print(text, end="")
     return 0
 
 
+_COMMANDS = {  # name: (help, function adding its flags, handler)
+    "ingest": ("read records, attach labels, report segment counts", _add_record_flags, cmd_ingest),
+    "filter": ("compensated filtering of a text signal", _add_filter_flags, cmd_filter),
+    "encode": ("encode a text signal into symbols", _add_encode_flags, cmd_encode),
+    "features": ("entropy/complexity of a symbol file", _add_features_flags, cmd_features),
+    "evaluate": ("overlap report of a label,entropy,complexity CSV", _add_evaluate_flags, cmd_evaluate),
+    "run": ("full pipeline: ingest, filter, encode, featurize, evaluate, rank", _add_run_flags, cmd_run),
+    "pairs": ("best encoder per class pair", _add_pairs_flags, cmd_pairs),
+    "synth": ("synthetic Gaussian clusters in the feature plane", _add_synth_flags, cmd_synth),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand, with the flags of ``command`` only (all when None);
+    a subparser's ``parser`` default is itself, read by _config_from_args."""
+    parser = _Parser(prog="ecgsym", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(parser=p)
+        if command in (None, name):
+            add_flags(p)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level has no option but -h: the first subcommand name runs
+    command = next((arg for arg in argv if arg in _COMMANDS), "")
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        args = build_parser(command).parse_args(argv)
+        return _COMMANDS[args.command][2](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -481,13 +481,21 @@ def write_reports(entries: list[EncoderRun], out_dir) -> list[Path]:
     return paths
 
 
+def check_label(name: str) -> None:
+    """Raise unless a label,entropy,complexity row holds ``name`` and
+    :func:`load_features_csv`, which strips each label, reads it back as it is."""
+    if any(c in name for c in ",\r\n"):
+        raise ValueError(f"label {name!r} contains a comma or a newline")
+    if name != name.strip():
+        raise ValueError(f"label {name!r} has leading or trailing whitespace")
+
+
 def write_features_csv(path, names, codes, points) -> Path:
     """Write the label,entropy,complexity rows that :func:`load_features_csv`
-    reads back, row i labeled ``names[codes[i]]``; a name with a comma or a
-    newline, which would break the rows, raises before anything is made."""
+    reads back, row i labeled ``names[codes[i]]``; a name it would not read
+    back as it is (:func:`check_label`) raises before anything is made."""
     for name in names:
-        if any(c in name for c in ",\r\n"):
-            raise ValueError(f"label {name!r} contains a comma or a newline")
+        check_label(name)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     labels = np.array(names, dtype=object)[codes].tolist()

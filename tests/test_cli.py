@@ -50,6 +50,57 @@ def test_unknown_flag_is_usage_error():
     assert main(["synth", "--bogus"]) == 1
 
 
+COMMANDS = ["ingest", "filter", "encode", "features", "evaluate", "run", "pairs", "synth"]
+
+
+@pytest.mark.parametrize("command", ["run", "pairs"])
+def test_only_the_named_subcommand_gets_flags(dataset, monkeypatch, command):
+    add_argument = argparse.ArgumentParser.add_argument
+    calls = []
+
+    def spy(self, *names, **kwargs):
+        calls.append((self.prog, names[0] if names else kwargs["dest"]))
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    records = [str(dataset / "r1.txt"), str(dataset / "r2.txt")]
+    argv = [command, *records, "--sidecar", str(dataset / "labels.csv"),
+            "--grid", str(dataset / "grid.txt")]
+    assert main(argv) == 0
+    progs = [prog for prog, _ in calls]
+    assert progs.count("ecgsym") == 1 and len(set(progs)) == 1 + len(COMMANDS)
+    flags = [(prog, name) for prog, name in calls if name != "-h"]
+    # the run flags are built once, on the one subparser that runs
+    assert {prog for prog, _ in flags} == {f"ecgsym {command}"}
+    names = [name for _, name in flags]
+    assert len(names) == len(set(names))
+    assert set(names) >= {"records", "--config", "--grid", "--mode"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help_is_the_full_parsers(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    expected = sub.choices[command].format_help()
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_top_level_help_and_unknown_command_are_the_full_parsers(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = build_parser().format_help()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected
+    assert main(["bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument command: invalid choice: 'bogus'")
+
+
 def test_synth_writes_features_and_report(tmp_path, capsys):
     out = tmp_path / "synth"
     code = main(
@@ -716,14 +767,17 @@ def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, val
             (["--names", "a,b"], "need one name per center"),
             # a name the features.csv rows cannot hold
             (["--classes", "2", "--names", "x\ny,z"], "label 'x\\ny' contains a comma or a newline"),
+            # a name features.csv would read back stripped
+            (["--classes", "2", "--names", " a,b "], "label ' a' has leading or trailing whitespace"),
         ]
     ],
 )
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags, message):
-    assert main(["synth", *flags, "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert captured.out == ""
+    for out in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["synth", *flags, *out]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
