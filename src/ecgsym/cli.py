@@ -32,7 +32,7 @@ from .filtering import (
     make_highpass,
     make_lowpass,
 )
-from .records import numbered_rows, read_label_sidecar, read_rows, read_text_signal
+from .records import numbered_rows, read_label_sidecar, read_rows, read_text_signal, write_text
 
 
 class UsageError(Exception):
@@ -67,7 +67,7 @@ def _read_signal(args) -> Signal:
 def _write_output(out, text: str) -> None:
     """Write ``text`` to the file ``out``, or to stdout when it is not given."""
     if out:
-        Path(out).write_text(text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -110,13 +110,11 @@ def cmd_ingest(args) -> int:
         f"{dropped} trailing partial windows dropped"
     )
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         lines = ["record_id,start,label"]
         rows = zip(segments.record_ids, segments.starts, segments.labels)
         lines += [f"{record_id},{start},{label}" for record_id, start, label in rows]
-        (out / "segments.csv").write_text("\n".join(lines) + "\n")
-        print(f"manifest written to {out / 'segments.csv'}")
+        path = write_text(Path(args.out) / "segments.csv", "\n".join(lines) + "\n")
+        print(f"manifest written to {path}")
     return 0
 
 
@@ -144,7 +142,7 @@ def cmd_filter(args) -> int:
         lines += [
             f"{float(f)!r},{float(abs(v))!r},{float(np.angle(v))!r}" for f, v in zip(freqs, h)
         ]
-        Path(args.response).write_text("\n".join(lines) + "\n")
+        write_text(args.response, "\n".join(lines) + "\n")
         print(f"response written to {args.response}")
         if args.input is None:
             return 0
@@ -216,7 +214,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_distribution(dataset, args.mode)
     text = report.to_text()
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -313,9 +311,7 @@ def cmd_pairs(args) -> int:
     table = exp.pairwise_table(result, pairs)
     text = exp.pair_table_text(table)
     if config.out:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "pairs.txt").write_text(text)
+        write_text(Path(config.out) / "pairs.txt", text)
     print(text, end="")
     return 0
 
@@ -344,7 +340,10 @@ def cmd_synth(args) -> int:
             raise UsageError(f"cannot parse centers {args.centers!r}") from None
     else:
         centers = _ring_centers(args.classes)
-    names = args.names.split(",") if args.names else None
+    # argv bytes the locale could not decode come as surrogates: read them as
+    # UTF-8, the encoding features.csv is written in
+    given = (args.names or "").encode("utf-8", "surrogateescape")
+    names = given.decode("utf-8", "surrogateescape").split(",") if args.names else None
     try:
         for name in names or ():  # the features.csv rule, with or without --out
             exp.check_label(name)
@@ -355,8 +354,9 @@ def cmd_synth(args) -> int:
     if args.out:
         out = Path(args.out)
         codes = np.repeat(np.arange(len(dataset.names)), dataset.sizes)
-        exp.write_features_csv(out / "features.csv", dataset.names, codes, dataset.points)
-        (out / "report.txt").write_text(text)
+        features = exp.features_csv_text(dataset.names, codes, dataset.points)
+        write_text(out / "features.csv", features)
+        write_text(out / "report.txt", text)
         text += f"features and report written to {out}\n"
     print(text, end="")
     return 0

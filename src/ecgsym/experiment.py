@@ -10,7 +10,6 @@ without signal data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -32,11 +31,13 @@ from .records import (
     DEFAULT_SEGMENT_LENGTH,
     numbered_rows,
     parse_columns,
+    parse_rows,
     read_binary_record,
     read_label_sidecar,
     read_rows,
     read_text_signal,
     load_labeled_segments,
+    write_text,
 )
 
 BINARY_DEVIATIONS = (Fraction(-1, 10), Fraction(-1, 20), Fraction(1, 20), Fraction(1, 10))
@@ -285,22 +286,10 @@ def load_features_csv(path, skip_header: bool = False):
     coded = None if points is None else _code_label_column(text, len(points))
     if coded is not None:
         return (*coded, points)
-    labels, rows = [], []
-    for row_no, line in numbered_rows(text, first):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"{path}: row {row_no} needs label,entropy,complexity")
-        try:
-            point = (float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise ValueError(f"{path}: row {row_no} has non-numeric features") from None
-        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
-            raise ValueError(f"{path}: row {row_no} has non-finite features")
-        rows.append(point)
-        labels.append(parts[0])
-    if not labels:
+    rows, points = parse_rows(path, text, first, (1, 2), ",", fields=3)
+    if not rows:
         raise ValueError(f"{path}: no feature rows")
-    return (*code_labels(labels), np.array(rows))
+    return (*code_labels(row[0] for row in rows), points)
 
 
 def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) -> LabeledFeatureSet:
@@ -414,7 +403,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     counts = dict(zip(entries[0].report.class_names, entries[0].report.class_sizes))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out is not None:
-        write_reports(result.entries, config.out)
         emit_plot_data(result.entries, config.out)
     return result
 
@@ -470,17 +458,6 @@ def _slug(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in label)
 
 
-def write_reports(entries: list[EncoderRun], out_dir) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, entry in enumerate(entries):
-        path = out / f"report_{i:02d}_{_slug(entry.label)}.txt"
-        path.write_text(f"encoder = {entry.label}\n" + entry.report.to_text())
-        paths.append(path)
-    return paths
-
-
 def check_label(name: str) -> None:
     """Raise unless a label,entropy,complexity row holds ``name`` and
     :func:`load_features_csv`, which strips each label, reads it back as it is."""
@@ -488,33 +465,32 @@ def check_label(name: str) -> None:
         raise ValueError(f"label {name!r} contains a comma or a newline")
     if name != name.strip():
         raise ValueError(f"label {name!r} has leading or trailing whitespace")
+    if any("\ud800" <= c <= "\udfff" for c in name):  # a surrogate: UTF-8 cannot encode it
+        raise ValueError(f"label {name!r} cannot be written as UTF-8")
 
 
-def write_features_csv(path, names, codes, points) -> Path:
-    """Write the label,entropy,complexity rows that :func:`load_features_csv`
-    reads back, row i labeled ``names[codes[i]]``; a name it would not read
-    back as it is (:func:`check_label`) raises before anything is made."""
+def features_csv_text(names, codes, points) -> str:
+    """The label,entropy,complexity rows that :func:`load_features_csv`
+    reads back, row i labeled ``names[codes[i]]``; raises on a name it
+    would not read back as it is (:func:`check_label`)."""
     for name in names:
         check_label(name)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     labels = np.array(names, dtype=object)[codes].tolist()
     lines = ["label,entropy,complexity"]
     lines += [f"{label},{h!r},{c!r}" for label, (h, c) in zip(labels, points.tolist())]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return "\n".join(lines) + "\n"
 
 
 def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
-    """Write per-encoder scatter files (:func:`write_features_csv`) and the
-    ranked summary table."""
-    out = Path(out_dir)
-    paths = []
+    """Write each entry's report and scatter file and the ranked summary
+    table; every file's text is made, and so every class name checked,
+    before the first is written."""
+    out, files = Path(out_dir), {}
     for i, entry in enumerate(entries):
-        path = out / f"scatter_{i:02d}_{_slug(entry.label)}.csv"
-        paths.append(write_features_csv(path, entry.names, entry.codes, entry.points))
-    out.mkdir(parents=True, exist_ok=True)
-    summary = out / "summary.csv"
+        stem = f"{i:02d}_{_slug(entry.label)}"
+        files[out / f"report_{stem}.txt"] = f"encoder = {entry.label}\n" + entry.report.to_text()
+        scatter = features_csv_text(entry.names, entry.codes, entry.points)
+        files[out / f"scatter_{stem}.csv"] = scatter
     lines = ["rank,encoder,total_overlap,overlap_per_element,overlap_per_class,mode"]
     for rank, idx in enumerate(rank_entries(entries), start=1):
         rep = entries[idx].report
@@ -522,6 +498,5 @@ def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
             f"{rank},{entries[idx].label},{rep.total_overlap},"
             f"{rep.overlap_per_element!r},{rep.overlap_per_class!r},{rep.mode}"
         )
-    summary.write_text("\n".join(lines) + "\n")
-    paths.append(summary)
-    return paths
+    files[out / "summary.csv"] = "\n".join(lines) + "\n"
+    return [write_text(path, text) for path, text in files.items()]

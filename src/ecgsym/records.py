@@ -4,7 +4,8 @@ Supports the 212-format binary packing (two 12-bit two's-complement
 samples per 3-byte group) and one-sample-per-row delimited text. Segment
 class labels come from a sidecar file mapping sample ranges of a record
 to a label; :func:`load_labeled_segments` copies every labeled window of
-every record into one array, one row per window.
+every record into one array, one row per window. Every text file is read
+(:func:`read_rows`) and every output file written (:func:`write_text`) here.
 """
 
 from __future__ import annotations
@@ -104,6 +105,16 @@ def read_rows(path, skip_header: bool = False) -> tuple[str, int]:
         return fh.read(), 2 if skip_header else 1
 
 
+def write_text(path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8, making missing parent directories;
+    every output file is written here. Text UTF-8 cannot hold (a lone
+    surrogate) raises ValueError before anything is made."""
+    data, path = text.encode(), Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
 def numbered_rows(text: str, first: int):
     """(row number, stripped row) of every non-blank row of ``text``."""
     for row_no, line in enumerate(text.split("\n"), start=first):
@@ -140,6 +151,35 @@ def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = N
     return values if np.isfinite(values).all() else None
 
 
+def parse_rows(path, text: str, first: int, columns: tuple[int, ...], delimiter=None, fields=None):
+    """The fields of each non-blank row of ``text`` and an (N, k) float array
+    of the given columns, a row at a time: the fallback of :func:`parse_columns`.
+    Rows split on ``delimiter`` (whitespace when None); with ``fields`` a row
+    must hold exactly that many, stripped. Raises naming the first bad row.
+    """
+    rows, values = [], []
+    for row_no, line in numbered_rows(text, first):
+        at, parts = f"{path}: row {row_no}", line.split(delimiter or None)
+        if fields is not None and len(parts) != fields:
+            raise ValueError(f"{at} needs {fields} fields, got {len(parts)}")
+        if max(columns) >= len(parts):
+            raise ValueError(f"{at} has no column {max(columns)}")
+        parts = [p.strip() for p in parts] if fields else parts
+        point = []
+        for column in columns:
+            try:
+                point.append(float(parts[column]))
+            except ValueError:
+                bad = f"{at} column {column} is not a number: {parts[column]!r}"
+                raise ValueError(bad) from None
+        for column, value in zip(columns, point):
+            if not math.isfinite(value):
+                raise ValueError(f"{at} column {column} is not finite: {parts[column]!r}")
+        rows.append(parts)
+        values.append(point)
+    return rows, np.array(values, dtype=float).reshape(-1, len(columns))
+
+
 def read_text_signal(
     path,
     column: int = 0,
@@ -154,27 +194,11 @@ def read_text_signal(
     """
     text, first = read_rows(path, skip_header)
     values = parse_columns(text, (column,), delimiter)
-    if values is not None:
-        return Signal(values[:, 0], sample_rate)
-    samples = []
-    for row_no, line in numbered_rows(text, first):
-        parts = line.split(delimiter) if delimiter else line.split()
-        if column >= len(parts):
-            raise ValueError(f"{path}: row {row_no} has no column {column}")
-        try:
-            value = float(parts[column])
-        except ValueError:
-            raise ValueError(
-                f"{path}: row {row_no} column {column} is not a number: {parts[column]!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{path}: row {row_no} column {column} is not finite: {parts[column]!r}"
-            )
-        samples.append(value)
-    if not samples:
-        raise ValueError(f"{path}: no samples in column {column}")
-    return Signal(np.array(samples), sample_rate)
+    if values is None:
+        values = parse_rows(path, text, first, (column,), delimiter)[1]
+        if not len(values):
+            raise ValueError(f"{path}: no samples in column {column}")
+    return Signal(values[:, 0], sample_rate)
 
 
 @dataclass(frozen=True)

@@ -166,13 +166,20 @@ def read_feature_rows(path, skip_header: bool = False) -> tuple[list, list]:
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
-                raise ValueError(f"{path}: row {row_no} needs label,entropy,complexity")
-            try:
-                point = (float(parts[1]), float(parts[2]))
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no} has non-numeric features") from None
+                raise ValueError(f"{path}: row {row_no} needs 3 fields, got {len(parts)}")
+            for column in (1, 2):  # the first field float() rejects
+                try:
+                    float(parts[column])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {row_no} column {column} is not a number: {parts[column]!r}"
+                    ) from None
+            point = (float(parts[1]), float(parts[2]))
             if not (math.isfinite(point[0]) and math.isfinite(point[1])):
-                raise ValueError(f"{path}: row {row_no} has non-finite features")
+                column = 1 if not math.isfinite(point[0]) else 2
+                raise ValueError(
+                    f"{path}: row {row_no} column {column} is not finite: {parts[column]!r}"
+                )
             points.append(point)
             labels.append(parts[0])
     if not labels:

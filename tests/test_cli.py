@@ -150,7 +150,16 @@ def test_evaluate_non_finite_feature_is_data_error(tmp_path, capsys, bad):
     path = tmp_path / "features.csv"
     path.write_text(f"A,0.5,0.5\nB,0.1,0.2\nB,{bad},0.3\n")
     assert main(["evaluate", str(path)]) == 2
-    assert "row 3 has non-finite features" in capsys.readouterr().err
+    assert f"row 3 column 1 is not finite: '{bad}'" in capsys.readouterr().err
+
+
+def test_output_files_make_missing_directories(tmp_path):
+    t = np.arange(720) / FS
+    write_signal(tmp_path / "sig.txt", np.sin(2 * math.pi * 8.0 * t))
+    out, resp = tmp_path / "a" / "filtered.txt", tmp_path / "b" / "c" / "resp.csv"
+    code = main(["filter", str(tmp_path / "sig.txt"), "--out", str(out), "--response", str(resp)])
+    assert code == 0
+    assert out.is_file() and resp.is_file()
 
 
 def test_filter_response_and_output(tmp_path):
@@ -769,6 +778,11 @@ def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, val
             (["--classes", "2", "--names", "x\ny,z"], "label 'x\\ny' contains a comma or a newline"),
             # a name features.csv would read back stripped
             (["--classes", "2", "--names", " a,b "], "label ' a' has leading or trailing whitespace"),
+            # an argv byte that is not UTF-8, which features.csv is written in
+            (
+                ["--classes", "2", "--per-class", "3", "--names", "\udcff,B"],
+                "label '\\udcff' cannot be written as UTF-8",
+            ),
         ]
     ],
 )
@@ -912,3 +926,39 @@ def test_pairs_on_synth_features_is_pinned(tmp_path, capsys, spread, mode):
     features = str(out / "features.csv")
     assert main(["pairs", "--features", features, "--skip-header", "--mode", mode]) == 0
     assert capsys.readouterr().out == _SYNTH_PAIRS[spread]
+
+
+# An ASCII locale with nothing that turns it into UTF-8: argv bytes that are
+# not ASCII arrive as surrogates, and the locale's encoding is ASCII.
+ASCII_LOCALE = {
+    "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": "utf-8"
+}
+
+
+def run_ascii(*args):
+    env = {"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", **ASCII_LOCALE}
+    proc = subprocess.run([sys.executable, "-m", "ecgsym", *args], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+
+
+def test_non_ascii_names_round_trip_under_an_ascii_locale(tmp_path):
+    out = tmp_path / "d"
+    run_ascii("synth", "--classes", "2", "--per-class", "20", "--names", "\u00c4,B", "--out", out)
+    assert (out / "features.csv").read_text(encoding="utf-8").splitlines()[1].startswith("\u00c4,")
+    run_ascii("evaluate", out / "features.csv", "--skip-header", "--out", tmp_path / "e.txt")
+    assert (tmp_path / "e.txt").read_bytes() == (out / "report.txt").read_bytes()
+
+
+def test_run_writes_non_ascii_labels_as_utf8_under_an_ascii_locale(dataset):
+    labels = "r1,0,1440,st\u00e9ady\nr2,0,1440,erratic\n"
+    (dataset / "labels.csv").write_text(labels, encoding="utf-8")
+    out = dataset / "out"
+    run_ascii(
+        "run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
+        str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"), "--out", str(out),
+    )
+    written = {path.name: path.read_bytes().decode("utf-8") for path in out.iterdir()}
+    assert len(written) == 5
+    for name, text in written.items():
+        if name.startswith(("report_", "scatter_")):
+            assert "st\u00e9ady" in text, name

@@ -297,7 +297,7 @@ def test_load_features_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="row 1"):
         load_features_csv(path)
     path.write_text("a,x,y\n")
-    with pytest.raises(ValueError, match="non-numeric"):
+    with pytest.raises(ValueError, match="row 1 column 1 is not a number: 'x'"):
         load_features_csv(path)
     path.write_text("label,entropy,complexity\n")
     with pytest.raises(ValueError, match="no feature rows"):
@@ -424,12 +424,27 @@ def test_emit_plot_data_rows_and_summary(record_setup, tmp_path):
     assert values == sorted(values)
 
 
-@pytest.mark.parametrize("label", ["a,b", "a\nb"])
-def test_emit_plot_data_rejects_label_that_breaks_the_rows(tmp_path, label):
-    ds = LabeledFeatureSet({label: [(0.1, 0.2)], "ok": [(0.8, 0.9)]})
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        pytest.param(label, message, id=label)
+        for label, message in [
+            ("a,b", "contains a comma or a newline"),
+            ("a\nb", "contains a comma or a newline"),
+            ("a\udcffb", "cannot be written as UTF-8"),
+        ]
+    ],
+)
+def test_emit_plot_data_rejects_label_that_breaks_the_rows(tmp_path, label, message):
+    bad = LabeledFeatureSet({label: [(0.1, 0.2)], "ok": [(0.8, 0.9)]})
+    good = LabeledFeatureSet({"x": [(0.1, 0.2)], "ok": [(0.8, 0.9)]})
     out = tmp_path / "emit"
-    with pytest.raises(ValueError, match="contains a comma or a newline"):
-        emit_plot_data([entry_from_dataset("e", ds)], out)
+    with pytest.raises(ValueError, match=message):
+        emit_plot_data([entry_from_dataset("e", bad)], out)
+    assert not out.exists()
+    # a bad label in the second entry leaves no file of the first
+    with pytest.raises(ValueError, match=message):
+        emit_plot_data([entry_from_dataset("g", good), entry_from_dataset("e", bad)], out)
     assert not out.exists()
 
 

@@ -185,7 +185,7 @@ def test_rows_are_counted_on_newlines_only(path, capsys):
     with pytest.raises(ValueError, match=r": row 4 column 0 is not a number: 'bad'$"):
         read_text_signal(path)
     path.write_text("a,1,2\x1c\nb,3\n", newline="")
-    with pytest.raises(ValueError, match=r": row 2 needs label,entropy,complexity$"):
+    with pytest.raises(ValueError, match=r": row 2 needs 3 fields, got 2$"):
         load_features_csv(path)
     # the other readers: a bad row 4 after a \r\n, a \r and a \x0c-bearing row
     def write(rows):

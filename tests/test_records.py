@@ -16,6 +16,7 @@ from ecgsym.records import (
     read_label_sidecar,
     read_rows,
     read_text_signal,
+    write_text,
 )
 
 twelve_bit = st.integers(-2048, 2047)
@@ -277,3 +278,16 @@ def test_read_label_sidecar_bad_row(tmp_path):
     path.write_text("r1,0,720\n")
     with pytest.raises(ValueError, match="row 1"):
         read_label_sidecar(path)
+
+
+def test_write_text_writes_utf8_and_makes_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    assert write_text(path, "st\u00e9ady\n") == path
+    assert path.read_bytes() == "st\u00e9ady\n".encode("utf-8")
+
+
+def test_write_text_makes_nothing_for_text_utf8_cannot_hold(tmp_path):
+    path = tmp_path / "new" / "out.txt"
+    with pytest.raises(ValueError):
+        write_text(path, "\udcff")
+    assert not (tmp_path / "new").exists()
