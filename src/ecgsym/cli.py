@@ -72,6 +72,12 @@ def _write_output(out, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _utf8(text: str) -> str:
+    """A flag's text read as UTF-8, the encoding of every file: argv bytes
+    the locale could not decode arrive as surrogates."""
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
+
+
 def _add_record_flags(p):
     """The record and signal flags of ingest, run and pairs."""
     p.add_argument("records", nargs="*", default=[])
@@ -283,7 +289,7 @@ def _check_pair_names(pairs, names) -> None:
 
 def _add_pairs_flags(p):
     _add_run_flags(p)
-    p.add_argument("--pairs", default=None, help="comma-separated A:B pairs (default: all)")
+    p.add_argument("--pairs", type=_utf8, default=None, help="comma-separated A:B pairs (default: all)")
 
 
 def cmd_pairs(args) -> int:
@@ -327,7 +333,7 @@ def _add_synth_flags(p):
     p.add_argument("--spread", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--centers", default=None, help="'x,y;x,y;...' (default: ring layout)")
-    p.add_argument("--names", default=None, help="comma-separated class names")
+    p.add_argument("--names", type=_utf8, default=None, help="comma-separated class names")
     p.add_argument("--mode", choices=("forall", "exists"), default="forall")
     p.add_argument("--out", default=None)
 
@@ -340,10 +346,7 @@ def cmd_synth(args) -> int:
             raise UsageError(f"cannot parse centers {args.centers!r}") from None
     else:
         centers = _ring_centers(args.classes)
-    # argv bytes the locale could not decode come as surrogates: read them as
-    # UTF-8, the encoding features.csv is written in
-    given = (args.names or "").encode("utf-8", "surrogateescape")
-    names = given.decode("utf-8", "surrogateescape").split(",") if args.names else None
+    names = args.names.split(",") if args.names else None
     try:
         for name in names or ():  # the features.csv rule, with or without --out
             exp.check_label(name)
@@ -388,6 +391,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # UTF-8 like every file; the locale's error handler
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     argv = sys.argv[1:] if argv is None else argv
     # the top level has no option but -h: the first subcommand name runs
     command = next((arg for arg in argv if arg in _COMMANDS), "")

@@ -230,62 +230,26 @@ def rank_entries(entries: list[EncoderRun]) -> list[int]:
     return sorted(range(len(entries)), key=lambda i: entries[i].report.overlap_per_element)
 
 
-def _code_label_column(text: str, rows: int):
-    """Class codes and names of the labels of ``text``, in one numpy pass
-    over its UTF-8 bytes, or None unless it holds ``rows`` rows and twice
-    as many commas, with no non-empty row that lacks one.
-
-    A label is a row's bytes before its first comma. Rows are grouped by
-    their label's bytes and length (so ``a`` and ``a\\x00`` stay apart);
-    only the distinct raw labels are decoded and stripped, and those that
-    strip to one name form one class. A label too wide to pad every row
-    to leaves the file to the row loop.
-    """
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
-    marks = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    kinds = np.append(data[marks], ord("\n"))  # the text's end ends its last row
-    marks = np.append(marks, len(data))
-    ends = np.flatnonzero(kinds == ord("\n"))  # in marks, each row's end
-    firsts = np.append(0, ends[:-1] + 1)  # in marks, each row's first mark
-    starts = np.append(0, marks[ends[:-1]] + 1)
-    labeled = firsts < ends
-    if (marks[ends[~labeled]] > starts[~labeled]).any():  # a non-empty row with no comma
-        return None
-    if np.count_nonzero(labeled) != rows or len(marks) - len(ends) != 2 * rows:
-        return None
-    starts, cuts = starts[labeled], marks[firsts[labeled]]
-    width = int((cuts - starts).max())
-    if rows * width > len(data):
-        return None
-    # a row's key: its label's bytes and comma, padded with that comma to
-    # one width; a label holds no comma, so its first one marks its length
-    keys = data.take(np.minimum(starts + np.arange(width + 1)[:, None], cuts))
-    # one key per run of equal rows, so a file of one class sorts one key
-    heads = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
-    _, first, inverse = np.unique(keys[:, heads].T, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct raw labels in first-appearance order
-    merged, names = code_labels(
-        data[starts[row] : cuts[row]].tobytes().decode().strip() for row in heads[first[order]]
-    )
-    codes = merged[np.argsort(order)][inverse.reshape(-1)]
-    return np.repeat(codes, np.diff(np.append(heads, rows))), names
-
-
 def load_features_csv(path, skip_header: bool = False):
     """Read label,entropy,complexity rows; returns (codes, names, points):
     row i has label ``names[codes[i]]`` (names in first-appearance order)
     and point ``points[i]`` of an (N, 2) array.
 
-    Both numeric columns are parsed in one pass (:func:`parse_columns`)
-    and the labels coded in another (:func:`_code_label_column`); the
-    rows are read one at a time only when those passes give no values,
-    to name the first bad row or to take a literal that numpy rejects.
+    Both numeric columns are parsed in one pass (:func:`parse_columns`).
+    Where it succeeds with two commas a row, a file whose rows all hold
+    the first row's raw label is one class; any other codes each row's
+    label, stripped. Otherwise the rows are read one at a time, to name
+    the first bad row or to take a literal that numpy rejects.
     """
     text, first = read_rows(path, skip_header)
     points = parse_columns(text, (1, 2), ",")
-    coded = None if points is None else _code_label_column(text, len(points))
-    if coded is not None:
-        return (*coded, points)
+    # numpy parsed two columns of each row and skips only empty rows
+    if points is not None and text.count(",") == 2 * len(points):
+        head = text[: text.index(",")]  # each match below starts a later row labeled head
+        if "\n" not in head and text.count(f"\n{head},") == len(points) - 1:
+            return np.zeros(len(points), dtype=np.intp), (head.strip(),), points
+        labels = (row[: row.index(",")].strip() for row in text.split("\n") if row)
+        return (*code_labels(labels), points)
     rows, points = parse_rows(path, text, first, (1, 2), ",", fields=3)
     if not rows:
         raise ValueError(f"{path}: no feature rows")

@@ -933,12 +933,17 @@ def test_pairs_on_synth_features_is_pinned(tmp_path, capsys, spread, mode):
 ASCII_LOCALE = {
     "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": "utf-8"
 }
+# The same, with stdout left in the locale's encoding until main sets it.
+ASCII_STDOUT = {key: value for key, value in ASCII_LOCALE.items() if key != "PYTHONIOENCODING"}
 
 
-def run_ascii(*args):
-    env = {"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", **ASCII_LOCALE}
+def run_ascii(*args, env=ASCII_LOCALE) -> str:
+    """Run the CLI under ``env``; its stdout read as UTF-8, a byte that is
+    not UTF-8 as a surrogate, as argv and paths are read."""
+    env = {"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", **env}
     proc = subprocess.run([sys.executable, "-m", "ecgsym", *args], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc.stdout.decode("utf-8", "surrogateescape")
 
 
 def test_non_ascii_names_round_trip_under_an_ascii_locale(tmp_path):
@@ -962,3 +967,29 @@ def test_run_writes_non_ascii_labels_as_utf8_under_an_ascii_locale(dataset):
     for name, text in written.items():
         if name.startswith(("report_", "scatter_")):
             assert "st\u00e9ady" in text, name
+
+
+def test_pairs_reads_non_ascii_class_names_under_an_ascii_locale(dataset):
+    labels = "r1,0,1440,st\u00e9ady\nr2,0,1440,\u00c4rratic\n"
+    (dataset / "labels.csv").write_text(labels, encoding="utf-8")
+    printed = run_ascii(
+        "pairs", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
+        str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"),
+        "--pairs", "st\u00e9ady:\u00c4rratic",
+    )
+    assert printed.splitlines()[1].startswith("st\u00e9ady vs \u00c4rratic ")
+
+
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
+    out = tmp_path / "d\udcff"  # a path byte that is not UTF-8 prints as that byte
+    features = out / "features.csv"
+    printed = run_ascii(
+        "synth", "--classes", "2", "--per-class", "3", "--names", "\u00c4,B", "--out", out,
+        env=ASCII_STDOUT,
+    )
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    assert "\n\u00c4 " in report
+    assert printed == report + f"features and report written to {out}\n"
+    assert run_ascii("evaluate", features, "--skip-header", env=ASCII_STDOUT) == report
+    printed = run_ascii("pairs", "--features", features, "--skip-header", env=ASCII_STDOUT)
+    assert printed.splitlines()[1].startswith("\u00c4 vs B ")

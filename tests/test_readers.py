@@ -127,7 +127,11 @@ def test_text_reader_matches_row_loop(path, case):
 @example(("\na,1,2\nb,3,4\n", True))
 @example(("a, 1_0 ,2\n", False))
 @example(("a,1,2\r\n\r\n b ,3,4,5\r\n", False))
-@example(  # interleaved classes; long fields let the 40-character label take the one pass
+@example(("a,1,2\nab,3,4\n", False))  # a later label that extends the first
+@example(("a,1,2\n\na,3,4\n", False))  # a blank row inside one class
+@example(("a,1,2\n a ,3,4\n", False))  # one class whose raw labels differ in whitespace
+@example(("a,1,2\na,3,4,5\n", False))  # one class, but row 2 needs 3 fields, got 4
+@example(  # interleaved classes, labels that strip alike and a 40-character one
     (
         "".join(
             f"{label},0.7600584176874715,0.5894316109366958\n"
