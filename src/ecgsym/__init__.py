@@ -10,15 +10,7 @@ from .distribution import (
     evaluate_distribution,
     report_from_counts,
 )
-from .encoding import (
-    EncoderSpec,
-    SymbolSequence,
-    encode,
-    encode_slope_binary,
-    encode_slope_ternary,
-    encode_threshold_binary,
-    encode_threshold_ternary,
-)
+from .encoding import EncoderSpec, SymbolSequence, encode
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,

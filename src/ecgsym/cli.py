@@ -78,6 +78,14 @@ def _utf8(text: str) -> str:
     return text.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
 
 
+def _error_text(exc: Exception) -> str:
+    """``exc`` as text with the paths in it as typed (see _utf8); an
+    OSError's path not through repr, which would escape what was typed."""
+    if isinstance(exc, OSError) and exc.strerror is not None and exc.filename is not None:
+        return _utf8(f"{exc.strerror}: {exc.filename}")
+    return _utf8(str(exc))
+
+
 def _add_record_flags(p):
     """The record and signal flags of ingest, run and pairs."""
     p.add_argument("records", nargs="*", default=[])
@@ -266,7 +274,7 @@ def _config_from_args(args) -> exp.ExperimentConfig:
             **{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
         )
     except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(_error_text(exc)) from None
 
 
 def cmd_run(args) -> int:
@@ -350,6 +358,8 @@ def cmd_synth(args) -> int:
     try:
         for name in names or ():  # the features.csv rule, with or without --out
             exp.check_label(name)
+            if names.count(name) > 1:
+                raise ValueError(f"class name {name!r} repeated in --names")
         dataset = exp.make_clusters(centers, args.per_class, args.spread, args.seed, names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -391,8 +401,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys.stdout, "reconfigure"):  # UTF-8 like every file; the locale's error handler
-        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
+    for stream in (sys.stdout, sys.stderr):  # UTF-8 like every file, each its own error handler
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     argv = sys.argv[1:] if argv is None else argv
     # the top level has no option but -h: the first subcommand name runs
     command = next((arg for arg in argv if arg in _COMMANDS), "")
@@ -403,7 +414,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error: {_error_text(exc)}", file=sys.stderr)
         return 2
 
 

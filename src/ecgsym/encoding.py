@@ -1,11 +1,11 @@
 """Coarse-graining of signal segments into symbol sequences.
 
 Four schemes: sign-of-slope and mean-relative-threshold, each producing a
-binary or ternary alphabet. Slope encoders emit one symbol per consecutive
-sample pair (one fewer than the input length); threshold encoders emit one
-symbol per sample.
+binary or ternary alphabet, all read by one rule in :func:`encode`. Slope
+emits one symbol per consecutive sample pair (one fewer than the input
+length); threshold emits one symbol per sample.
 
-Every encoder works along the last axis: an (N, L) stack gives a matrix
+Encoding works along the last axis: an (N, L) stack gives a matrix
 of symbol rows, each bit for bit the encoding of that row alone.
 """
 
@@ -22,10 +22,6 @@ SLOPE = "slope"
 THRESHOLD = "threshold"
 
 _ALPHABETS = {2: (0, 1), 3: (-1, 0, 1)}
-
-
-def _samples(signal) -> np.ndarray:
-    return (signal if isinstance(signal, Signal) else Signal(signal)).samples
 
 
 @dataclass(eq=False)
@@ -66,7 +62,8 @@ class EncoderSpec:
 
     ``deviation`` is the threshold offset from the segment mean as a
     fraction of the peak-to-peak range; it is required for threshold
-    methods and forbidden for slope methods.
+    methods and forbidden for slope methods. A ternary band only exists
+    for a non-negative deviation.
     """
 
     method: str
@@ -83,6 +80,8 @@ class EncoderSpec:
                 raise ValueError("threshold encoding requires a deviation")
             if not abs(self.deviation) < 0.5:
                 raise ValueError("deviation magnitude must be below 1/2")
+            if self.alphabet_size == 3 and self.deviation < 0:
+                raise ValueError("ternary threshold requires non-negative deviation")
         elif self.deviation is not None:
             raise ValueError("slope encoding takes no deviation")
 
@@ -102,69 +101,29 @@ def check_zero_tol(zero_tol: float) -> None:
         raise ValueError(f"zero_tol must be finite and non-negative, not {zero_tol!r}")
 
 
-def _steps(signal, zero_tol: float) -> np.ndarray:
-    """Differences between consecutive samples of each row."""
-    x = _samples(signal)
-    if x.shape[-1] < 2:
-        raise ValueError("segment too short for slope encoding")
-    check_zero_tol(zero_tol)
-    return np.diff(x, axis=-1)
-
-
-def encode_slope_binary(signal, zero_tol: float = 0.0) -> SymbolSequence:
-    """1 where the step to the next sample is non-negative, else 0.
-
-    Steps within ``zero_tol`` of zero count as flat and take the
-    non-negative branch.
-    """
-    return SymbolSequence((_steps(signal, zero_tol) >= -zero_tol).astype(np.int8), 2)
-
-
-def encode_slope_ternary(signal, zero_tol: float = 0.0) -> SymbolSequence:
-    """1 for a rising step, -1 for a falling step, 0 within the flat band."""
-    steps = _steps(signal, zero_tol)
-    out = np.zeros(steps.shape, dtype=np.int8)
-    out[steps > zero_tol] = 1
-    out[steps < -zero_tol] = -1
-    return SymbolSequence(out, 3)
-
-
-def encode_threshold_binary(signal, deviation: float) -> SymbolSequence:
-    """1 where the sample reaches mean + deviation * range, else 0."""
-    x = _samples(signal)
-    if x.size == 0:
-        raise ValueError("empty signal")
-    level = x.mean(axis=-1, keepdims=True) + deviation * np.ptp(x, axis=-1, keepdims=True)
-    return SymbolSequence((x >= level).astype(np.int8), 2)
-
-
-def encode_threshold_ternary(signal, deviation: float) -> SymbolSequence:
-    """Three-way split around a symmetric band about the mean.
-
-    1 above mean + deviation * range, -1 below mean - deviation * range,
-    0 inside the closed band. The band only exists for deviation >= 0.
-    """
-    x = _samples(signal)
-    if x.size == 0:
-        raise ValueError("empty signal")
-    if deviation < 0:
-        raise ValueError("ternary threshold requires non-negative deviation")
-    spread = deviation * np.ptp(x, axis=-1, keepdims=True)
-    mean = x.mean(axis=-1, keepdims=True)
-    upper = mean + spread
-    lower = mean - spread
-    out = np.zeros(x.shape, dtype=np.int8)
-    out[x > upper] = 1
-    out[x < lower] = -1
-    return SymbolSequence(out, 3)
-
-
 def encode(signal, spec: EncoderSpec, zero_tol: float = 0.0) -> SymbolSequence:
-    """Apply the scheme selected by ``spec`` to a signal."""
+    """The symbols of each row of ``signal`` under ``spec``.
+
+    Every scheme compares values with a cut ``low`` and a band top ``high``.
+    Slope compares the steps between consecutive samples with
+    (-zero_tol, zero_tol); threshold compares the samples with mean -/+
+    deviation * range, and binary puts both ends at mean + deviation *
+    range. Binary gives 1 where a value reaches ``low``, else 0. Ternary
+    gives 1 above ``high``, -1 below ``low`` and 0 inside the closed band.
+    """
+    x = (signal if isinstance(signal, Signal) else Signal(signal)).samples
     if spec.method == SLOPE:
-        if spec.alphabet_size == 2:
-            return encode_slope_binary(signal, zero_tol)
-        return encode_slope_ternary(signal, zero_tol)
+        if x.shape[-1] < 2:
+            raise ValueError("segment too short for slope encoding")
+        check_zero_tol(zero_tol)
+        values, low, high = np.diff(x, axis=-1), -zero_tol, zero_tol
+    else:
+        if x.size == 0:
+            raise ValueError("empty signal")
+        mean = x.mean(axis=-1, keepdims=True)
+        spread = spec.deviation * np.ptp(x, axis=-1, keepdims=True)
+        values, high = x, mean + spread
+        low = high if spec.alphabet_size == 2 else mean - spread
     if spec.alphabet_size == 2:
-        return encode_threshold_binary(signal, spec.deviation)
-    return encode_threshold_ternary(signal, spec.deviation)
+        return SymbolSequence((values >= low).astype(np.int8), 2)
+    return SymbolSequence((values > high).astype(np.int8) - (values < low), 3)

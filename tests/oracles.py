@@ -3,12 +3,12 @@
 Kept deliberately naive and structurally different from the library code
 so they can serve as oracles: phrase parsing by literal reproducibility
 scans over tuples, entropy by counter arithmetic, overlap counting by
-plain loops, and text files read one row per loop step. Two exceptions
-to "naive": :func:`lz_count_resumed`, the one-symbol-a-step resumed-match
-parse, fast enough for full-length encoded rows; and
-:func:`at_least_as_far`, the library's earlier (N, m) distance table,
-built a centroid column at a time, kept as it was to check the table that
-replaced it on tie-heavy data.
+plain loops, symbols by one comparison per sample, and text files read
+one row per loop step. Two exceptions to "naive": :func:`lz_count_resumed`,
+the one-symbol-a-step resumed-match parse, fast enough for full-length
+encoded rows; and :func:`at_least_as_far`, the library's earlier (N, m)
+distance table, built a centroid column at a time, kept as it was to
+check the table that replaced it on tie-heavy data.
 """
 
 from __future__ import annotations
@@ -73,6 +73,34 @@ def lz_count_resumed(s: bytes) -> int:
     if k > 1:
         count += 1
     return count
+
+
+def encode_symbols(rows, method, alphabet_size, deviation=None, zero_tol=0.0) -> list[list[int]]:
+    """Symbols of each row of ``rows``, one comparison per step or sample.
+
+    Slope compares each step ``b - a`` with -/+``zero_tol``. Threshold
+    takes the row's level from ``np.mean`` and ``np.ptp``: binary compares
+    each sample with mean + deviation * range, ternary with mean -/+
+    deviation * range (a closed band).
+    """
+    out = []
+    for row in np.atleast_2d(np.asarray(rows, dtype=float)).tolist():
+        if method == "slope":
+            values = [b - a for a, b in zip(row, row[1:])]
+            low, high = -zero_tol, zero_tol
+        else:
+            mean, spread = float(np.mean(row)), deviation * float(np.ptp(row))
+            values, low, high = row, mean - spread, mean + spread
+            if alphabet_size == 2:
+                low = high
+        symbols = []
+        for v in values:
+            if alphabet_size == 2:
+                symbols.append(1 if v >= low else 0)
+            else:
+                symbols.append(1 if v > high else -1 if v < low else 0)
+        out.append(symbols)
+    return out
 
 
 def entropy_bits(symbols) -> float:

@@ -731,6 +731,19 @@ def test_bad_config_value_is_usage_error_before_any_work(
     assert message in capsys.readouterr().err
 
 
+def test_negative_ternary_deviation_in_grid_is_usage_error_before_any_work(dataset, capsys, no_work):
+    (dataset / "grid.txt").write_text("slope binary\nthreshold ternary -1/20\n")
+    code = main(
+        ["run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
+         str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"),
+         "--out", str(dataset / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "ternary threshold requires non-negative deviation" in err
+    assert not (dataset / "out").exists()
+
+
 def test_short_padding_is_accepted_without_filtering(dataset):
     code = main(
         ["run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
@@ -754,6 +767,15 @@ def test_filter_bad_value_is_usage_error_before_reading(tmp_path, capsys, flags,
     assert message in capsys.readouterr().err
 
 
+def test_encode_negative_ternary_deviation_is_usage_error_before_reading(tmp_path, capsys):
+    # the input does not exist, so reading it first would report that instead
+    code = main(["encode", str(tmp_path / "missing.txt"), "--method", "threshold",
+                 "--alphabet", "3", "--deviation=-1/20"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error: ternary threshold requires non-negative deviation" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, value):
     code = main(["encode", str(tmp_path / "missing.txt"), "--method", "slope",
@@ -774,6 +796,10 @@ def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, val
             (["--spread", "inf"], "spread must be finite and non-negative"),
             (["--centers", "0,0;nan,1"], "cluster centers must be finite"),
             (["--names", "a,b"], "need one name per center"),
+            # a class named twice would merge two clusters into one
+            (["--classes", "3", "--per-class", "10", "--names", "A,A,B"],
+             "class name 'A' repeated in --names"),
+            (["--classes", "2", "--names", "A,A"], "class name 'A' repeated in --names"),
             # a name the features.csv rows cannot hold
             (["--classes", "2", "--names", "x\ny,z"], "label 'x\\ny' contains a comma or a newline"),
             # a name features.csv would read back stripped
@@ -937,13 +963,14 @@ ASCII_LOCALE = {
 ASCII_STDOUT = {key: value for key, value in ASCII_LOCALE.items() if key != "PYTHONIOENCODING"}
 
 
-def run_ascii(*args, env=ASCII_LOCALE) -> str:
-    """Run the CLI under ``env``; its stdout read as UTF-8, a byte that is
-    not UTF-8 as a surrogate, as argv and paths are read."""
+def run_ascii(*args, env=ASCII_LOCALE, code=0) -> str:
+    """Run the CLI under ``env``, expecting exit ``code``; its stdout on
+    success, else its stderr, read as UTF-8, a byte that is not UTF-8 as a
+    surrogate, as argv and paths are read."""
     env = {"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", **env}
     proc = subprocess.run([sys.executable, "-m", "ecgsym", *args], capture_output=True, env=env)
-    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
-    return proc.stdout.decode("utf-8", "surrogateescape")
+    assert proc.returncode == code, proc.stderr.decode("utf-8", "replace")
+    return (proc.stdout if code == 0 else proc.stderr).decode("utf-8", "surrogateescape")
 
 
 def test_non_ascii_names_round_trip_under_an_ascii_locale(tmp_path):
@@ -993,3 +1020,22 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
     assert run_ascii("evaluate", features, "--skip-header", env=ASCII_STDOUT) == report
     printed = run_ascii("pairs", "--features", features, "--skip-header", env=ASCII_STDOUT)
     assert printed.splitlines()[1].startswith("\u00c4 vs B ")
+
+
+def test_stderr_shows_a_path_as_typed_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "n\u00f6.csv"
+    err = run_ascii("evaluate", path, env=ASCII_STDOUT, code=2)
+    assert err == f"data error: No such file or directory: {path}\n"
+    path.write_text("label,entropy,complexity\nA,0.1,x\n")
+    err = run_ascii("evaluate", path, "--skip-header", env=ASCII_STDOUT, code=2)
+    assert err == f"data error: {path}: row 2 column 2 is not a number: 'x'\n"
+
+
+def test_stderr_shows_an_unknown_pair_name_as_typed_under_an_ascii_locale(tmp_path):
+    features = tmp_path / "features.csv"
+    features.write_text("label,entropy,complexity\nC1,0.1,0.2\nC1,0.2,0.1\nC2,0.8,0.9\nC2,0.9,0.8\n")
+    err = run_ascii(
+        "pairs", "--features", features, "--skip-header", "--pairs", "\u00d6:C1",
+        env=ASCII_STDOUT, code=1,
+    )
+    assert err == "usage error: unknown class name(s) in --pairs: \u00d6\n"

@@ -2,108 +2,112 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from ecgsym.encoding import (
-    EncoderSpec,
-    SymbolSequence,
-    encode,
-    encode_slope_binary,
-    encode_slope_ternary,
-    encode_threshold_binary,
-    encode_threshold_ternary,
-)
-from ecgsym.filtering import Signal
+from ecgsym.encoding import EncoderSpec, SymbolSequence, encode
+from oracles import encode_symbols
 
 int_signals = st.lists(st.integers(-1000, 1000), min_size=2, max_size=40)
 deviations = st.sampled_from([-0.1, -0.05, 0.05, 0.1, 1 / 12, 1 / 8])
 
 
+def slope(x, alphabet, zero_tol=0.0):
+    return encode(x, EncoderSpec("slope", alphabet), zero_tol)
+
+
+def threshold(x, alphabet, deviation):
+    return encode(x, EncoderSpec("threshold", alphabet, deviation))
+
+
 # --- worked examples -----------------------------------------------------------
 
 def test_slope_binary_example():
-    out = encode_slope_binary([1.0, 2.0, 2.0, 1.0])
+    out = slope([1.0, 2.0, 2.0, 1.0], 2)
     np.testing.assert_array_equal(out.symbols, [1, 1, 0])
     assert out.alphabet_size == 2
 
 
 def test_slope_binary_ramp():
-    out = encode_slope_binary(np.arange(10.0))
+    out = slope(np.arange(10.0), 2)
     np.testing.assert_array_equal(out.symbols, np.ones(9))
 
 
 def test_slope_binary_flat_counts_as_rising():
-    np.testing.assert_array_equal(encode_slope_binary([3.0, 3.0, 3.0]).symbols, [1, 1])
+    np.testing.assert_array_equal(slope([3.0, 3.0, 3.0], 2).symbols, [1, 1])
 
 
 def test_slope_ternary_example():
-    out = encode_slope_ternary([1.0, 2.0, 2.0, 1.0])
+    out = slope([1.0, 2.0, 2.0, 1.0], 3)
     np.testing.assert_array_equal(out.symbols, [1, 0, -1])
     assert out.alphabet_size == 3
 
 
 def test_slope_ternary_constant():
-    np.testing.assert_array_equal(encode_slope_ternary(np.full(6, 2.5)).symbols, np.zeros(5))
+    np.testing.assert_array_equal(slope(np.full(6, 2.5), 3).symbols, np.zeros(5))
 
 
 def test_slope_ternary_tolerance_band():
-    out = encode_slope_ternary([0.0, 1.0, 0.5], zero_tol=0.6)
+    out = slope([0.0, 1.0, 0.5], 3, zero_tol=0.6)
     np.testing.assert_array_equal(out.symbols, [1, 0])
 
 
 def test_threshold_binary_example():
     # mean 1.5, range 3, level 1.8
-    out = encode_threshold_binary([0.0, 1.0, 2.0, 3.0], 1 / 10)
+    out = threshold([0.0, 1.0, 2.0, 3.0], 2, 1 / 10)
     np.testing.assert_array_equal(out.symbols, [0, 0, 1, 1])
 
 
 def test_threshold_binary_negative_deviation():
     # level 1.2
-    out = encode_threshold_binary([0.0, 1.0, 2.0, 3.0], -1 / 10)
+    out = threshold([0.0, 1.0, 2.0, 3.0], 2, -1 / 10)
     np.testing.assert_array_equal(out.symbols, [0, 0, 1, 1])
 
 
 def test_threshold_binary_constant_all_ones():
-    out = encode_threshold_binary(np.full(5, 7.0), 0.0)
+    out = threshold(np.full(5, 7.0), 2, 0.0)
     np.testing.assert_array_equal(out.symbols, np.ones(5))
 
 
 def test_threshold_ternary_example():
     # upper 1.8, lower 1.2
-    out = encode_threshold_ternary([0.0, 1.0, 2.0, 3.0], 1 / 10)
+    out = threshold([0.0, 1.0, 2.0, 3.0], 3, 1 / 10)
     np.testing.assert_array_equal(out.symbols, [-1, -1, 1, 1])
 
 
 def test_threshold_ternary_constant_all_zero():
-    out = encode_threshold_ternary(np.full(4, 1.25), 1 / 12)
+    out = threshold(np.full(4, 1.25), 3, 1 / 12)
     np.testing.assert_array_equal(out.symbols, np.zeros(4))
 
 
 def test_threshold_ternary_closed_band_boundaries():
-    # upper 1, lower -1; boundary samples fall inside the closed band
-    out = encode_threshold_ternary([-1.0, 0.0, 1.0], 1 / 2)
-    np.testing.assert_array_equal(out.symbols, [0, 0, 0])
+    # upper 1, lower -1; boundary samples fall inside the closed band (E = 1/2
+    # is past the spec's bound, so the band is made at E = 1/4 with range 4)
+    out = threshold([-1.0, 0.0, 1.0, -2.0, 2.0], 3, 1 / 4)
+    np.testing.assert_array_equal(out.symbols, [0, 0, 0, -1, 1])
 
 
 # --- error contracts -----------------------------------------------------------
 
 def test_slope_rejects_short_segments():
-    for fn in (encode_slope_binary, encode_slope_ternary):
+    for alphabet in (2, 3):
         with pytest.raises(ValueError, match="too short"):
-            fn([1.0])
+            slope([1.0], alphabet)
 
 
 def test_ternary_threshold_rejects_negative_deviation():
-    with pytest.raises(ValueError, match="non-negative"):
-        encode_threshold_ternary([0.0, 1.0], -0.05)
+    # a property of the spec, so it fails before any signal is seen
+    with pytest.raises(ValueError, match="ternary threshold requires non-negative deviation"):
+        EncoderSpec("threshold", 3, -0.05)
+    assert EncoderSpec("threshold", 3, 0.0).deviation == 0.0
+    assert EncoderSpec("threshold", 2, -0.05).deviation == -0.05
 
 
 def test_negative_zero_tol_rejected():
     # NaN too: it fails every comparison, so each step would read as flat
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="zero_tol must be finite and non-negative"):
-            encode_slope_binary([0.0, 1.0], zero_tol=bad)
+            slope([0.0, 1.0], 2, zero_tol=bad)
 
 
 def test_encoder_spec_validation():
@@ -172,15 +176,42 @@ def test_symbol_sequence_validation_matches_membership(values, alphabet):
             SymbolSequence(raw, alphabet)
 
 
-def test_dispatch_matches_direct_calls():
-    x = Signal(np.array([0.0, 2.0, 1.0, 4.0]), 360.0)
-    np.testing.assert_array_equal(
-        encode(x, EncoderSpec("slope", 3)).symbols, encode_slope_ternary(x).symbols
+SCHEMES = [
+    ("slope", 2, None),
+    ("slope", 3, None),
+    *(("threshold", 2, e) for e in (-0.1, -0.05, 0.0, 0.05, 1 / 12, 0.25)),
+    *(("threshold", 3, e) for e in (0.0, 0.05, 1 / 16, 1 / 12, 0.25)),
+]
+
+
+@st.composite
+def sample_stacks(draw):
+    """1-4 rows of one length, with repeated values so that steps sit on
+    the flat band and samples on a level."""
+    rows, length = draw(st.integers(1, 4)), draw(st.integers(2, 40))
+    values = st.one_of(
+        st.integers(-20, 20).map(float),
+        st.integers(-1152, 1152).map(lambda k: k / 1152),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
     )
-    np.testing.assert_array_equal(
-        encode(x, EncoderSpec("threshold", 2, 0.1)).symbols,
-        encode_threshold_binary(x, 0.1).symbols,
-    )
+    row = st.lists(values, min_size=length, max_size=length)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@given(sample_stacks(), st.sampled_from(SCHEMES), st.sampled_from([0.0, 0.5, 1.0]))
+# mean 2, range 4: the binary cut at E = +-1/4 is a sample, and so is each
+# ternary band edge; steps of +-1 sit on +-zero_tol = 1
+@example([[0.0, 1.0, 2.0, 3.0, 4.0]], ("threshold", 2, 0.25), 0.0)
+@example([[0.0, 1.0, 2.0, 3.0, 4.0]], ("threshold", 2, -0.25), 0.0)
+@example([[0.0, 1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0, 0.0]], ("threshold", 3, 0.25), 0.0)
+@example([[0.0, 1.0, 0.0, 2.0]], ("slope", 2, None), 1.0)
+@example([[0.0, 1.0, 0.0, 2.0], [2.0, 1.0, 2.0, 0.0]], ("slope", 3, None), 1.0)
+def test_encode_matches_per_sample_oracle(rows, scheme, zero_tol):
+    method, alphabet, e = scheme
+    x = np.array(rows)
+    out = encode(x[0] if len(rows) == 1 else x, EncoderSpec(method, alphabet, e), zero_tol)
+    assert out.alphabet_size == alphabet
+    assert np.atleast_2d(out.symbols).tolist() == encode_symbols(rows, method, alphabet, e, zero_tol)
 
 
 # --- invariants -----------------------------------------------------------------
@@ -188,20 +219,20 @@ def test_dispatch_matches_direct_calls():
 @given(int_signals, deviations)
 def test_length_law(values, e):
     x = np.array(values, dtype=float)
-    assert len(encode_slope_binary(x)) == len(x) - 1
-    assert len(encode_slope_ternary(x)) == len(x) - 1
-    assert len(encode_threshold_binary(x, e)) == len(x)
-    assert len(encode_threshold_ternary(x, abs(e))) == len(x)
+    assert len(slope(x, 2)) == len(x) - 1
+    assert len(slope(x, 3)) == len(x) - 1
+    assert len(threshold(x, 2, e)) == len(x)
+    assert len(threshold(x, 3, abs(e))) == len(x)
 
 
 @given(int_signals, deviations)
 def test_alphabet_closure(values, e):
     x = np.array(values, dtype=float)
-    assert set(np.unique(encode_slope_binary(x).symbols)) <= {0, 1}
-    assert set(np.unique(encode_threshold_binary(x, e).symbols)) <= {0, 1}
-    assert set(np.unique(encode_slope_ternary(x).symbols)) <= {-1, 0, 1}
-    assert set(np.unique(encode_threshold_ternary(x, abs(e)).symbols)) <= {-1, 0, 1}
-    assert encode_slope_ternary(x).alphabet_size == 3  # declared even if unused
+    assert set(np.unique(slope(x, 2).symbols)) <= {0, 1}
+    assert set(np.unique(threshold(x, 2, e).symbols)) <= {0, 1}
+    assert set(np.unique(slope(x, 3).symbols)) <= {-1, 0, 1}
+    assert set(np.unique(threshold(x, 3, abs(e)).symbols)) <= {-1, 0, 1}
+    assert slope(x, 3).alphabet_size == 3  # declared even if unused
 
 
 @given(int_signals, st.integers(-10**6, 10**6), deviations)
@@ -215,12 +246,10 @@ def test_threshold_shift_invariance(values, shift, e):
         spread = abs(dev) * (data.max() - data.min())
         assume(np.abs(data - (data.mean() + spread)).min() > 1e-6)
         assume(np.abs(data - (data.mean() - spread)).min() > 1e-6)
+    np.testing.assert_array_equal(threshold(x, 2, e).symbols, threshold(shifted, 2, e).symbols)
     np.testing.assert_array_equal(
-        encode_threshold_binary(x, e).symbols, encode_threshold_binary(shifted, e).symbols
-    )
-    np.testing.assert_array_equal(
-        encode_threshold_ternary(x, abs(e)).symbols,
-        encode_threshold_ternary(shifted, abs(e)).symbols,
+        threshold(x, 3, abs(e)).symbols,
+        threshold(shifted, 3, abs(e)).symbols,
     )
 
 
@@ -229,24 +258,16 @@ def test_positive_scale_invariance(values, scale, e):
     # power-of-two scales commute exactly with float rounding
     x = np.array(values, dtype=float)
     scaled = x * scale
+    np.testing.assert_array_equal(slope(x, 2).symbols, slope(scaled, 2).symbols)
+    np.testing.assert_array_equal(slope(x, 3).symbols, slope(scaled, 3).symbols)
+    np.testing.assert_array_equal(threshold(x, 2, e).symbols, threshold(scaled, 2, e).symbols)
     np.testing.assert_array_equal(
-        encode_slope_binary(x).symbols, encode_slope_binary(scaled).symbols
-    )
-    np.testing.assert_array_equal(
-        encode_slope_ternary(x).symbols, encode_slope_ternary(scaled).symbols
-    )
-    np.testing.assert_array_equal(
-        encode_threshold_binary(x, e).symbols, encode_threshold_binary(scaled, e).symbols
-    )
-    np.testing.assert_array_equal(
-        encode_threshold_ternary(x, abs(e)).symbols,
-        encode_threshold_ternary(scaled, abs(e)).symbols,
+        threshold(x, 3, abs(e)).symbols,
+        threshold(scaled, 3, abs(e)).symbols,
     )
 
 
 @given(int_signals)
 def test_slope_ternary_negation_duality(values):
     x = np.array(values, dtype=float)
-    np.testing.assert_array_equal(
-        encode_slope_ternary(-x).symbols, -encode_slope_ternary(x).symbols
-    )
+    np.testing.assert_array_equal(slope(-x, 3).symbols, -slope(x, 3).symbols)
