@@ -23,7 +23,6 @@ from .encoding import EncoderSpec, SymbolSequence, check_zero_tol, encode
 from .features import extract_features, lz_complexity, shannon_entropy
 from .filtering import (
     DEFAULT_SAMPLE_RATE,
-    PaddingPlan,
     Signal,
     compensation_plan,
     filter_compensated,
@@ -42,6 +41,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _get_value(self, action, arg_string):
+        # a flag value that is cast or chosen is no path: read it as UTF-8, as errors quote it
+        if action.option_strings and (action.type or action.choices):
+            arg_string = _utf8(arg_string)
+        return super()._get_value(action, arg_string)
 
 
 _FILTER_KINDS = {"bandpass": make_bandpass, "lowpass": make_lowpass, "highpass": make_highpass}
@@ -107,8 +112,6 @@ def _add_run_flags(p):
     p.add_argument("--config", default=None, help="flat key = value configuration file")
     p.add_argument("--features", nargs="+", default=None, help="precomputed feature CSVs")
     p.add_argument("--no-filter", dest="filter", action="store_false")
-    p.add_argument("--pad-before", type=int, default=None)
-    p.add_argument("--pad-after", type=int, default=None)
     p.add_argument("--grid", default=None, help="encoder grid file")
     p.add_argument("--zero-tol", type=float, default=None)
     p.add_argument("--mode", choices=("forall", "exists"), default=None)
@@ -135,8 +138,6 @@ def cmd_ingest(args) -> int:
 def _add_filter_flags(p):
     p.add_argument("input", nargs="?", default=None)
     p.add_argument("--kind", choices=sorted(_FILTER_KINDS), default="bandpass")
-    p.add_argument("--pad-before", type=int, default=exp.DEFAULT_PAD)
-    p.add_argument("--pad-after", type=int, default=exp.DEFAULT_PAD)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--response", default=None, help="write magnitude/phase response CSV")
     _add_text_signal_flags(p)
@@ -144,9 +145,8 @@ def _add_filter_flags(p):
 
 def cmd_filter(args) -> int:
     coeffs = _FILTER_KINDS[args.kind]()
-    try:
-        plan = PaddingPlan(args.pad_before, args.pad_after)
-        compensation_plan(coeffs, args.sample_rate, plan)
+    try:  # a rate with no alignment shift raises before the input is read
+        plan = compensation_plan(coeffs, args.sample_rate)[0]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.response:
@@ -171,7 +171,7 @@ def _add_encode_flags(p):
     p.add_argument("input")
     p.add_argument("--method", choices=("slope", "threshold"), required=True)
     p.add_argument("--alphabet", type=int, choices=(2, 3), required=True)
-    p.add_argument("--deviation", default=None, help="threshold offset, e.g. 1/12 or -0.05")
+    p.add_argument("--deviation", type=_utf8, default=None, help="threshold offset, e.g. 1/12 or -0.05")
     p.add_argument("--zero-tol", type=float, default=0.0)
     p.add_argument("--out", default=None)
     _add_text_signal_flags(p)
@@ -254,7 +254,7 @@ def _config_from_args(args) -> exp.ExperimentConfig:
     fields = {field.name for field in dataclasses.fields(exp.ExperimentConfig)}
     flags = {a.dest: a for a in args.parser._actions if a.dest in fields}
     try:
-        values = {}
+        values = {} if "filter" in flags else {"filter": False}  # ingest only reads and cuts
         if getattr(args, "config", None):  # ingest has no --config
             for key, text in exp.load_config_file(args.config, set(flags) - {"features"}).items():
                 if flags[key].nargs == 0:
@@ -340,7 +340,7 @@ def _add_synth_flags(p):
     p.add_argument("--per-class", type=int, default=200)
     p.add_argument("--spread", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--centers", default=None, help="'x,y;x,y;...' (default: ring layout)")
+    p.add_argument("--centers", type=_utf8, default=None, help="'x,y;x,y;...' (default: ring layout)")
     p.add_argument("--names", type=_utf8, default=None, help="comma-separated class names")
     p.add_argument("--mode", choices=("forall", "exists"), default="forall")
     p.add_argument("--out", default=None)

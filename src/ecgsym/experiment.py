@@ -21,7 +21,6 @@ from .encoding import SLOPE, THRESHOLD, EncoderSpec, check_zero_tol, encode
 from .features import extract_features, min_valid_length
 from .filtering import (
     DEFAULT_SAMPLE_RATE,
-    PaddingPlan,
     Signal,
     compensation_plan,
     filter_compensated,
@@ -49,7 +48,6 @@ TERNARY_DEVIATIONS = (
     Fraction(1, 16),
     Fraction(1, 20),
 )
-DEFAULT_PAD = 65
 
 
 def default_encoder_grid() -> list[EncoderSpec]:
@@ -148,8 +146,6 @@ class ExperimentConfig:
     segment_length: int = DEFAULT_SEGMENT_LENGTH
     stride: int | None = None
     filter: bool = True
-    pad_before: int = DEFAULT_PAD
-    pad_after: int = DEFAULT_PAD
     grid: tuple[EncoderSpec, ...] = field(default_factory=lambda: tuple(default_encoder_grid()))
     zero_tol: float = 0.0
     mode: str = "forall"
@@ -180,9 +176,8 @@ class ExperimentConfig:
             raise ValueError("segment length must be at least 1")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be at least 1")
-        plan = PaddingPlan(self.pad_before, self.pad_after)
-        if self.filter and not self.features:
-            compensation_plan(make_bandpass(), self.sample_rate, plan)
+        if self.filter and not self.features:  # a rate with no alignment shift raises
+            compensation_plan(make_bandpass(), self.sample_rate)
         check_zero_tol(self.zero_tol)
         if self.mode not in ("forall", "exists"):
             raise ValueError("mode must be 'forall' or 'exists'")
@@ -356,8 +351,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         segments, skipped, dropped = _ingest(config)
         signal = Signal(segments.samples, config.sample_rate)
         if config.filter:
-            plan = PaddingPlan(config.pad_before, config.pad_after)
-            signal = filter_compensated(make_bandpass(), signal, plan)
+            bandpass = make_bandpass()
+            # the plan is passed, not defaulted: perfbench's filter span reads its pad lengths
+            signal = filter_compensated(bandpass, signal, compensation_plan(bandpass, config.sample_rate)[0])
         codes, names = code_labels(segments.labels)
         entries = []
         for spec in config.grid:

@@ -30,10 +30,6 @@ import numpy as np
 DEFAULT_SAMPLE_RATE = 360.0
 PASSBAND_CENTER_HZ = 8.0
 
-# Extra padding beyond the filter length / delay, so the transient has
-# fully decayed before the extraction window starts.
-_PAD_MARGIN = 20
-
 
 @dataclass(eq=False)
 class Signal:
@@ -262,20 +258,20 @@ def compensation_plan(
     """Pad lengths and extraction shift (the rounded :func:`alignment_delay`
     at ``PASSBAND_CENTER_HZ``, evaluated once) of compensated filtering.
 
-    The default ``plan`` pads both sides by the larger of the coefficient
-    counts and the rounded-up delay, plus a margin: 65 for the band-pass.
-    A lead below the filter order or a trail below the shift raises.
+    The default ``plan`` is the least one: the window starts at the filter
+    order, past the transient, and ends at the padded row's end (lead 44
+    and trail 21 for the band-pass at 360 Hz; a negative shift adds to the
+    lead). A larger plan adds pad that no output reads; a smaller raises.
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
     delay = alignment_delay(coeffs, 2.0 * math.pi * PASSBAND_CENTER_HZ / sample_rate)
-    if plan is None:
-        k = max(coeffs.numerator.size, coeffs.denominator.size, math.ceil(delay)) + _PAD_MARGIN
-        plan = PaddingPlan(k, k)
     shift = int(round(delay))
-    if plan.lead < coeffs.order or plan.trail < shift:
+    least = PaddingPlan(coeffs.order + max(-shift, 0), max(shift, 0))
+    plan = least if plan is None else plan
+    if plan.lead < least.lead or plan.trail < least.trail:
         raise ValueError(
-            f"insufficient padding: need lead >= {coeffs.order} and trail >= {shift}, "
+            f"insufficient padding: need lead >= {least.lead} and trail >= {least.trail}, "
             f"got lead={plan.lead}, trail={plan.trail}"
         )
     return plan, shift

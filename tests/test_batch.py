@@ -121,6 +121,7 @@ def test_run_calls_each_stage_a_fixed_number_of_times(tmp_path, monkeypatch, win
     config = exp.ExperimentConfig(records=tuple(paths), sidecar=sidecar, format="212")
     result = run_experiment(config)
     assert sum(result.class_counts.values()) == 2 * windows_per_class
-    # one evaluation when the config checks its padding, one in the filter
-    assert (len(delays), len(filters)) == (2, 1)
+    # one evaluation when the config checks the sample rate, one for the
+    # plan the run passes to the filter, and one in the filter
+    assert (len(delays), len(filters)) == (3, 1)
     assert len(encodes) == len(features) == len(config.grid)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ecgsym.cli import _config_from_args, build_parser, main
 from ecgsym.experiment import ExperimentConfig
+from ecgsym.filtering import PaddingPlan, Signal, filter_compensated, make_bandpass
 from ecgsym.records import pack_format212
 
 FS = 360.0
@@ -429,6 +430,16 @@ def test_ingest_without_labeled_segments_names_the_sidecar(dataset, capsys):
             assert capsys.readouterr().err == f"data error: {message}\n"
 
 
+def test_ingest_takes_a_rate_the_band_pass_cannot_align_at(dataset, capsys):
+    # ingest only reads and cuts records, so no filter checks the rate
+    for rate in ("48", "16"):
+        code = main(["ingest", str(dataset / "r1.txt"), str(dataset / "r2.txt"),
+                     "--sidecar", str(dataset / "labels.csv"), "--sample-rate", rate])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("total: 4 segments, 0 unlabeled windows skipped, "
+                                                "0 trailing partial windows dropped\n")
+
+
 def test_run_end_to_end(dataset, capsys):
     out = dataset / "results"
     code = main(
@@ -481,6 +492,17 @@ def test_run_unknown_config_key_is_usage_error(dataset, capsys):
     )
     assert main(["run", "--config", str(conf)]) == 1
     assert "row 4: unknown key 'segment_lenght'" in capsys.readouterr().err
+
+
+def test_removed_pad_config_key_is_usage_error(dataset, capsys):
+    conf = dataset / "run.conf"
+    conf.write_text(
+        f"records = {dataset / 'r1.txt'} {dataset / 'r2.txt'}\n"
+        f"sidecar = {dataset / 'labels.csv'}\n"
+        "pad_before = 65\n"
+    )
+    assert main(["run", "--config", str(conf)]) == 1
+    assert "row 3: unknown key 'pad_before'" in capsys.readouterr().err
 
 
 def test_run_repeated_config_key_is_usage_error(dataset, capsys):
@@ -553,8 +575,6 @@ def test_every_config_key_builds_what_its_flag_builds(dataset):
         "sample_rate": "250",
         "segment_length": "600",
         "stride": "300",
-        "pad_before": "70",
-        "pad_after": "60",
         "grid": str(dataset / "grid.txt"),
         "zero_tol": "0.5",
         "mode": "exists",
@@ -696,13 +716,20 @@ _BAD_RECORD_FLAGS = [
     (["--format", "212", "--channel", "-1"], "channel must be non-negative"),
     (["--format", "212", "--signal-count", "0"], "signal_count must be at least 1"),
 ]
-_BAD_PAD_FLAGS = [
-    (["--pad-before", "-1"], "pad lengths must be non-negative"),
-    (["--pad-after", "-1"], "pad lengths must be non-negative"),
-    (["--pad-before", "10"], "insufficient padding: need lead >= 44 and trail >= 21"),
-    (["--pad-after", "5"], "insufficient padding: need lead >= 44 and trail >= 21"),
+# the pads follow from the filter and the sample rate, so no flag sets them:
+# a command that still gives one is a usage error before any work
+_REMOVED_PAD_FLAGS = [
+    (flags, "unrecognized arguments: " + " ".join(flags))
+    for flags in (["--pad-before", "-1"], ["--pad-after", "-1"],
+                  ["--pad-before", "10"], ["--pad-after", "5"])
 ]
-_BAD_RUN_FLAGS = _BAD_PAD_FLAGS + [
+# a rate that puts a transfer-function zero at the 8 Hz passband center,
+# and one that puts 8 Hz at Nyquist: neither has an alignment shift
+_BAD_RATE_FLAGS = [
+    (["--sample-rate", "48"], "phase undefined at omega=1.047"),
+    (["--sample-rate", "16"], "omega must lie strictly between 0 and pi"),
+]
+_BAD_RUN_FLAGS = _REMOVED_PAD_FLAGS + _BAD_RATE_FLAGS + [
     (["--zero-tol", value], "zero_tol must be finite and non-negative")
     for value in ("nan", "inf", "-1")
 ]
@@ -744,20 +771,11 @@ def test_negative_ternary_deviation_in_grid_is_usage_error_before_any_work(datas
     assert not (dataset / "out").exists()
 
 
-def test_short_padding_is_accepted_without_filtering(dataset):
-    code = main(
-        ["run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
-         str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"),
-         "--no-filter", "--pad-before", "10", "--pad-after", "5"]
-    )
-    assert code == 0
-
-
 @pytest.mark.parametrize(
     "flags, message",
     [
         pytest.param(flags, message, id=" ".join(flags))
-        for flags, message in _BAD_PAD_FLAGS
+        for flags, message in _REMOVED_PAD_FLAGS + _BAD_RATE_FLAGS
         + [(["--sample-rate", "0"], "sample_rate must be positive")]
     ],
 )
@@ -882,6 +900,21 @@ def test_filter_other_kinds(tmp_path):
     high = np.array([float(v) for v in (tmp_path / "highpass.txt").read_text().split()])
     assert abs(low.mean() - 2.0) < 0.1
     assert abs(high.mean()) < 0.1
+
+
+def test_filter_and_run_at_a_high_sample_rate(dataset, capsys):
+    # at 5000 Hz the band-pass shifts by 106 samples; the output is that of
+    # any plan at least as long as the least, such as lead 65 and trail 106
+    x = (np.arange(720) * 7919) % 1021 - 510.0
+    write_signal(dataset / "sig.txt", x)
+    assert main(["filter", str(dataset / "sig.txt"), "--sample-rate", "5000"]) == 0
+    expected = filter_compensated(make_bandpass(), Signal(x, 5000.0), PaddingPlan(65, 106))
+    assert capsys.readouterr().out == "\n".join(repr(float(v)) for v in expected.samples) + "\n"
+    code = main(["run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
+                 str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt"),
+                 "--sample-rate", "5000"])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 def test_run_with_precomputed_features(tmp_path, capsys):
@@ -1029,6 +1062,24 @@ def test_stderr_shows_a_path_as_typed_under_an_ascii_locale(tmp_path):
     path.write_text("label,entropy,complexity\nA,0.1,x\n")
     err = run_ascii("evaluate", path, "--skip-header", env=ASCII_STDOUT, code=2)
     assert err == f"data error: {path}: row 2 column 2 is not a number: 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(args, id=" ".join(args[:1] + args[-2:-1]))
+        for args in (
+            ["run", "x", "--format", "\u00f6"],
+            ["run", "x", "--sidecar", "s", "--mode", "\u00f6"],
+            ["run", "x", "--sidecar", "s", "--stride", "\u00f6"],
+            ["synth", "--centers", "\u00f6"],
+            ["encode", "sig.txt", "--method", "threshold", "--alphabet", "3", "--deviation", "\u00f6"],
+        )
+    ],
+)
+def test_stderr_quotes_a_flag_value_as_typed_under_an_ascii_locale(args):
+    err = run_ascii(*args, env=ASCII_STDOUT, code=1)
+    assert err.startswith("usage error: ") and "'\u00f6'" in err, err
 
 
 def test_stderr_shows_an_unknown_pair_name_as_typed_under_an_ascii_locale(tmp_path):

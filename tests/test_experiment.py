@@ -29,7 +29,7 @@ from ecgsym.experiment import (
     _ingest,
 )
 from ecgsym.features import lz_complexity
-from ecgsym.filtering import PaddingPlan, Signal, filter_compensated, make_bandpass
+from ecgsym.filtering import Signal, filter_compensated, make_bandpass
 
 from oracles import lz_count, lz_count_resumed
 from record_pipeline_demo import build_dataset
@@ -470,8 +470,7 @@ def test_lz_matches_oracle_on_pipeline_sequences(tmp_path):
     # of 720, checks the first few rows of each encoder
     config = demo_config(tmp_path, 25, 0)
     segments, _, _ = _ingest(config)
-    plan = PaddingPlan(config.pad_before, config.pad_after)
-    signal = filter_compensated(make_bandpass(), Signal(segments.samples, config.sample_rate), plan)
+    signal = filter_compensated(make_bandpass(), Signal(segments.samples, config.sample_rate))
     checked = 0
     for spec in default_encoder_grid():
         seq = encode(signal, spec)

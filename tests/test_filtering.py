@@ -374,8 +374,52 @@ def test_insufficient_padding_rejected():
 
 
 def test_default_padding():
-    assert compensation_plan(make_bandpass()) == (PaddingPlan(65, 65), 21)
-    assert compensation_plan(make_lowpass())[0] == PaddingPlan(33, 33)
+    assert compensation_plan(make_bandpass()) == (PaddingPlan(44, 21), 21)
+    assert compensation_plan(make_lowpass())[0] == PaddingPlan(12, 5)
+    assert compensation_plan(make_bandpass(), 5000.0) == (PaddingPlan(44, 106), 106)
+
+
+def test_default_padding_for_a_negative_shift():
+    # 1 - 0.9z^-1 leads an 8 Hz sinusoid by 6 samples: the window starts
+    # at the order only if the lead covers that too, and no trail is read
+    coeffs = FilterCoefficients(np.array([1.0, -0.9]), np.array([1.0]))
+    assert compensation_plan(coeffs, FS) == (PaddingPlan(7, 0), -6)
+    x = Signal(np.random.default_rng(0).normal(0.0, 5.0, (3, 300)), FS)
+    np.testing.assert_array_equal(
+        filter_compensated(coeffs, x).samples, filter_compensated(coeffs, x, PaddingPlan(30, 30)).samples
+    )
+    with pytest.raises(ValueError, match="need lead >= 7 and trail >= 0, got lead=6"):
+        compensation_plan(coeffs, FS, PaddingPlan(6, 30))
+
+
+_STOCK_FILTERS = {"bandpass": make_bandpass, "lowpass": make_lowpass, "highpass": make_highpass}
+
+
+@given(
+    st.sampled_from(sorted(_STOCK_FILTERS)),
+    st.sampled_from([250.0, 360.0, 1000.0, 5000.0]),
+    st.integers(1, 4),
+    st.integers(1, 300),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 200),
+    st.integers(0, 200),
+)
+@settings(max_examples=100)
+def test_output_does_not_depend_on_the_pads(kind, rate, rows, length, integer, seed, a, b):
+    # every pad sample past the least plan is one that no window output reads
+    coeffs = _STOCK_FILTERS[kind]()
+    rng = np.random.default_rng(seed)
+    if integer:
+        x = rng.integers(-2048, 2048, (rows, length)).astype(float)
+    else:
+        x = rng.normal(0.0, rng.uniform(0.01, 1000.0), (rows, length))
+    signal = Signal(x, rate)
+    shift = compensation_plan(coeffs, rate)[1]
+    padded = filter_compensated(coeffs, signal, PaddingPlan(coeffs.order + a, shift + b))
+    np.testing.assert_array_equal(
+        padded.samples.view(np.int64), filter_compensated(coeffs, signal).samples.view(np.int64)
+    )
 
 
 def test_frequency_response_magnitudes():
