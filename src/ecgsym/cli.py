@@ -54,7 +54,7 @@ _FILTER_KINDS = {"bandpass": make_bandpass, "lowpass": make_lowpass, "highpass":
 
 def _add_text_signal_flags(p, column=0, sample_rate=DEFAULT_SAMPLE_RATE):
     p.add_argument("--column", type=int, default=column, help="text column holding the samples")
-    p.add_argument("--delimiter", default=None, help="column delimiter (default: whitespace)")
+    p.add_argument("--delimiter", type=_utf8, default=None, help="column delimiter (default: whitespace)")
     p.add_argument("--skip-header", action="store_true", help="skip the first row")
     p.add_argument("--sample-rate", type=float, default=sample_rate)
 
@@ -145,8 +145,10 @@ def _add_filter_flags(p):
 
 def cmd_filter(args) -> int:
     coeffs = _FILTER_KINDS[args.kind]()
-    try:  # a rate with no alignment shift raises before the input is read
-        plan = compensation_plan(coeffs, args.sample_rate)[0]
+    if args.input is None and not args.response:
+        raise UsageError("filter needs an input signal or --response")
+    try:  # only filtering needs an alignment shift: a rate with none raises before the input is read
+        plan = None if args.input is None else compensation_plan(coeffs, args.sample_rate)[0]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.response:
@@ -158,12 +160,9 @@ def cmd_filter(args) -> int:
         ]
         write_text(args.response, "\n".join(lines) + "\n")
         print(f"response written to {args.response}")
-        if args.input is None:
-            return 0
-    if args.input is None:
-        raise UsageError("filter needs an input signal or --response")
-    out = filter_compensated(coeffs, _read_signal(args), plan)
-    _write_output(args.out, "\n".join(repr(float(v)) for v in out.samples) + "\n")
+    if args.input is not None:
+        out = filter_compensated(coeffs, _read_signal(args), plan)
+        _write_output(args.out, "\n".join(repr(float(v)) for v in out.samples) + "\n")
     return 0
 
 

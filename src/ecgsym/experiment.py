@@ -10,6 +10,9 @@ without signal data.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -328,11 +331,60 @@ def _ingest(config: ExperimentConfig):
     return segments, skipped, dropped
 
 
+def _fork_helps() -> bool:
+    """Two usable CPUs, and no other thread that a fork could leave holding a lock."""
+    return (
+        hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
+    )
+
+
+def _split_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, the odd-indexed items computed in one forked
+    child, which pickles back its results or its exception (one that does not
+    survive pickling as a RuntimeError with its repr); when both processes
+    fail, this one's exception is raised."""
+    if len(items) < 2 or not _fork_helps():
+        return [fn(x) for x in items]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: it ends in os._exit, never returning into the caller
+        try:
+            os.close(read_fd)  # so a write fails, not blocks, once the parent stops reading
+            try:
+                payload = pickle.dumps([fn(x) for x in items[1::2]])
+            except BaseException as exc:
+                try:
+                    pickle.loads(payload := pickle.dumps(exc))
+                except Exception:
+                    payload = pickle.dumps(RuntimeError(f"grid child raised {exc!r}"))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:  # closed before the child is reaped, on every path
+            even = [fn(x) for x in items[::2]]
+            payload = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not payload:
+        raise RuntimeError(f"grid child ended with no result (wait status {status})")
+    odd = pickle.loads(payload)
+    if isinstance(odd, BaseException):
+        raise odd
+    return [(odd if i % 2 else even)[i // 2] for i in range(len(items))]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured pipeline and rank the grid entries.
 
     With feature-file input the encoding stage is bypassed and a single
-    entry labeled 'precomputed' is produced.
+    entry labeled 'precomputed' is produced. Otherwise, with two usable
+    CPUs and no other thread running, the odd grid entries are encoded
+    and featurized in one forked child (_split_map), with the same results.
     """
     if config.features:
         labels, codes, points = [], [], []
@@ -355,11 +407,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # the plan is passed, not defaulted: perfbench's filter span reads its pad lengths
             signal = filter_compensated(bandpass, signal, compensation_plan(bandpass, config.sample_rate)[0])
         codes, names = code_labels(segments.labels)
-        entries = []
-        for spec in config.grid:
+
+        def points_of(spec: EncoderSpec) -> np.ndarray:
             fv = extract_features(encode(signal, spec, config.zero_tol))
-            points = np.column_stack((fv.h_norm, fv.c_norm))
-            entries.append(evaluate_entry(spec.label, codes, names, points, config.mode))
+            return np.column_stack((fv.h_norm, fv.c_norm))
+
+        points = _split_map(points_of, config.grid)
+        entries = [evaluate_entry(s.label, codes, names, p, config.mode) for s, p in zip(config.grid, points)]
     counts = dict(zip(entries[0].report.class_names, entries[0].report.class_sizes))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out is not None:

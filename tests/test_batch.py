@@ -1,6 +1,8 @@
 """An (N, L) stack of segments goes through filtering, encoding and feature
 extraction as one array and gives, bit for bit, what each row gives alone."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,29 +101,36 @@ def test_rows_are_symbol_matrices_only():
         lz_complexity(SymbolSequence(np.zeros((2, 5)), 2))
 
 
-def count_calls(monkeypatch, module, name) -> list:
-    calls = []
+def count_calls(monkeypatch, module, name, log):
+    """Replace ``module.name`` by a wrapper that appends one byte to the file
+    ``log`` per call, from whichever process makes it (a run may compute
+    grid entries in a forked child); returns a function giving the count."""
+    log.write_bytes(b"")
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, b".")
+        finally:
+            os.close(fd)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    return calls
+    return lambda: len(log.read_bytes())
 
 
 @pytest.mark.parametrize("windows_per_class", [2, 6])
 def test_run_calls_each_stage_a_fixed_number_of_times(tmp_path, monkeypatch, windows_per_class):
     paths, sidecar = build_dataset(tmp_path, windows_per_class, 0)
-    delays = count_calls(monkeypatch, filtering, "alignment_delay")
-    filters = count_calls(monkeypatch, exp, "filter_compensated")
-    encodes = count_calls(monkeypatch, exp, "encode")
-    features = count_calls(monkeypatch, exp, "extract_features")
+    delays = count_calls(monkeypatch, filtering, "alignment_delay", tmp_path / "delays.log")
+    filters = count_calls(monkeypatch, exp, "filter_compensated", tmp_path / "filters.log")
+    encodes = count_calls(monkeypatch, exp, "encode", tmp_path / "encodes.log")
+    features = count_calls(monkeypatch, exp, "extract_features", tmp_path / "features.log")
     config = exp.ExperimentConfig(records=tuple(paths), sidecar=sidecar, format="212")
     result = run_experiment(config)
     assert sum(result.class_counts.values()) == 2 * windows_per_class
     # one evaluation when the config checks the sample rate, one for the
     # plan the run passes to the filter, and one in the filter
-    assert (len(delays), len(filters)) == (3, 1)
-    assert len(encodes) == len(features) == len(config.grid)
+    assert (delays(), filters()) == (3, 1)
+    assert encodes() == features() == len(config.grid)

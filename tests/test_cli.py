@@ -226,6 +226,23 @@ def test_filter_requires_input_or_response(capsys):
     assert main(["filter"]) == 1
 
 
+@pytest.mark.parametrize(
+    "kind, rate", [("lowpass", "48"), ("bandpass", "48"), ("bandpass", "16")]
+)
+def test_filter_response_needs_no_alignment_shift(tmp_path, capsys, kind, rate):
+    # the response is defined at a rate with no alignment shift
+    resp = tmp_path / "r.csv"
+    assert main(["filter", "--kind", kind, "--sample-rate", rate, "--response", str(resp)]) == 0
+    assert resp.read_text().startswith("freq_hz,magnitude,phase_rad\n")
+    # filtering an input is not: a usage error before the input is read or the response written
+    resp = tmp_path / "r-with-input.csv"
+    code = main(["filter", str(tmp_path / "missing.txt"), "--kind", kind, "--sample-rate", rate,
+                 "--response", str(resp)])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not resp.exists()
+
+
 def test_encode_and_features_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(3)
     write_signal(tmp_path / "sig.txt", rng.normal(0, 1, 800))
@@ -1080,6 +1097,15 @@ def test_stderr_shows_a_path_as_typed_under_an_ascii_locale(tmp_path):
 def test_stderr_quotes_a_flag_value_as_typed_under_an_ascii_locale(args):
     err = run_ascii(*args, env=ASCII_STDOUT, code=1)
     assert err.startswith("usage error: ") and "'\u00f6'" in err, err
+
+
+def test_delimiter_is_read_as_typed_under_an_ascii_locale(tmp_path, capsys):
+    path = tmp_path / "delim.txt"
+    path.write_text("".join(f"{i}\u00f6{(i * 7) % 11}\n" for i in range(40)), encoding="utf-8")
+    args = ["encode", str(path), "--method", "slope", "--alphabet", "2", "--column", "1",
+            "--delimiter", "\u00f6"]
+    assert main(args) == 0
+    assert run_ascii(*args, env=ASCII_STDOUT) == capsys.readouterr().out
 
 
 def test_stderr_shows_an_unknown_pair_name_as_typed_under_an_ascii_locale(tmp_path):
