@@ -267,7 +267,7 @@ def _config_from_args(args) -> exp.ExperimentConfig:
             for dest, value in vars(args).items()
             if dest in flags and value != flags[dest].default
         )
-        if "grid" in values:
+        if "grid" in values and not values.get("features"):  # with features it is rejected unread
             values["grid"] = exp.parse_grid_file(values["grid"])
         return exp.ExperimentConfig(
             **{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}

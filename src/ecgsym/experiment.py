@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,15 +125,23 @@ def load_config_file(path, keys=None) -> dict[str, str]:
     return values
 
 
+# the fields that say how records are read, cut, filtered and encoded, in field order
+_RECORD_ONLY = (
+    "sidecar", "format", "channel", "column", "delimiter", "signal_count",
+    "sample_rate", "segment_length", "stride", "filter", "grid", "zero_tol",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a full pipeline run needs.
 
     Input is either labeled records (``records`` + ``sidecar``) or
     precomputed feature files (``features`` of label,entropy,complexity
-    rows); the encoder ``grid`` applies only to record input. Each field
-    is named after the ``run``/``pairs`` flag that sets it, which is also
-    its config-file key for every field but ``features``.
+    rows); with feature files every record-only field must keep its
+    default, since none of them would apply. Each field is named after
+    the ``run``/``pairs`` flag that sets it, which is also its
+    config-file key for every field but ``features``.
     """
 
     records: tuple[str, ...] = ()
@@ -149,7 +157,7 @@ class ExperimentConfig:
     segment_length: int = DEFAULT_SEGMENT_LENGTH
     stride: int | None = None
     filter: bool = True
-    grid: tuple[EncoderSpec, ...] = field(default_factory=lambda: tuple(default_encoder_grid()))
+    grid: tuple[EncoderSpec, ...] = tuple(default_encoder_grid())
     zero_tol: float = 0.0
     mode: str = "forall"
     out: str | None = None
@@ -158,6 +166,10 @@ class ExperimentConfig:
         if self.features:
             if self.records:
                 raise ValueError("give either record paths or feature files, not both")
+            defaults = {f.name: f.default for f in fields(self)}
+            unused = [name for name in _RECORD_ONLY if getattr(self, name) != defaults[name]]
+            if unused:
+                raise ValueError(f"feature files take no record settings: {', '.join(unused)}")
         else:
             if not self.records:
                 raise ValueError("no input: need record paths or feature files")

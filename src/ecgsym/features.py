@@ -28,45 +28,22 @@ class FeatureVector:
     c_norm: float
 
 
-_MAX_DISTINCT = 256
-
-
 def _as_symbols(seq) -> np.ndarray:
     """Small non-negative codes, one per symbol, that preserve equality.
 
     A :class:`SymbolSequence` (one row or a matrix) is shifted from
-    {-1, 0, 1} to {0, 1, 2}; bytes are their own codes; a plain sequence
-    (one row) is rank-coded, so equal values share a code and distinct
-    values get distinct ones. Codes fit in one byte each.
+    {-1, 0, 1} to {0, 1, 2}; one row's non-empty bytes are their own codes.
     """
     if isinstance(seq, SymbolSequence):
         return (seq.symbols + 1).astype(np.uint8)
     if isinstance(seq, bytes) and seq:
         return np.frombuffer(seq, dtype=np.uint8)
-    arr = np.asarray(seq)  # b"" becomes a 0-d array, rejected here
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("a plain sequence must be one non-empty row")
-    values, codes = np.unique(arr, return_inverse=True)
-    if values.size > _MAX_DISTINCT:
-        raise ValueError(
-            f"{values.size} distinct symbols; at most {_MAX_DISTINCT} are supported"
-        )
-    return codes.astype(np.uint8)
+    raise ValueError("expected a SymbolSequence or one row's non-empty bytes")
 
 
 def _per_row(values: np.ndarray):
     """A float for a single sequence, the per-row array for a matrix."""
     return float(values) if values.ndim == 0 else values
-
-
-def _alphabet_size(seq, alphabet_size) -> int:
-    if alphabet_size is None:
-        if not isinstance(seq, SymbolSequence):
-            raise ValueError("alphabet_size is required for plain sequences")
-        alphabet_size = seq.alphabet_size
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be at least 2")
-    return int(alphabet_size)
 
 
 def shannon_entropy(seq) -> float:
@@ -87,14 +64,13 @@ def shannon_entropy(seq) -> float:
     return _per_row(0.0 - plogp.sum(axis=-1))
 
 
-def shannon_entropy_normalized(seq, alphabet_size: int | None = None) -> float:
+def shannon_entropy_normalized(seq: SymbolSequence) -> float:
     """Entropy divided by log2 of the declared alphabet size.
 
     Uses the declared alphabet, not the count of observed symbols, so a
-    binary sequence read as ternary normalizes to less than 1.
+    ternary sequence that uses two symbols normalizes to less than 1.
     """
-    alpha = _alphabet_size(seq, alphabet_size)
-    return shannon_entropy(seq) / math.log2(alpha)
+    return shannon_entropy(seq) / math.log2(seq.alphabet_size)
 
 
 def lz_complexity(seq) -> int:
@@ -157,15 +133,14 @@ def _log_base(alpha: int, x: float) -> float:
     return math.log2(x) / math.log2(alpha)
 
 
-def lz_normalized(seq, alphabet_size: int | None = None) -> float:
+def lz_normalized(seq: SymbolSequence) -> float:
     """Phrase count over the bound n / log_alpha(n); one :func:`lz_complexity` per row."""
-    alpha = _alphabet_size(seq, alphabet_size)
     codes = _as_symbols(seq)
     n = codes.shape[-1]
     if n < 2:
         raise ValueError("sequence too short to normalize")
     counts = np.array([lz_complexity(row.tobytes()) for row in codes.reshape(-1, n)])
-    return _per_row(counts.reshape(codes.shape[:-1]) * _log_base(alpha, n) / n)
+    return _per_row(counts.reshape(codes.shape[:-1]) * _log_base(seq.alphabet_size, n) / n)
 
 
 def epsilon_n(alphabet_size: int, n: int) -> float:

@@ -43,10 +43,10 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim not in (1, 2):
             raise ValueError("signal samples must be one row or a matrix of rows")
-        bad = np.argwhere(~np.isfinite(self.samples))
-        if bad.size:
-            at = ", ".join(str(i) for i in bad[0])
-            raise ValueError(f"signal sample {at} is not finite: {self.samples[tuple(bad[0])]!r}")
+        if not np.isfinite(self.samples).all():  # locate the first bad sample only on failure
+            bad = np.argwhere(~np.isfinite(self.samples))[0]
+            at = ", ".join(str(i) for i in bad)
+            raise ValueError(f"signal sample {at} is not finite: {self.samples[tuple(bad)]!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 

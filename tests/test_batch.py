@@ -93,9 +93,8 @@ def test_stack_rejects_short_rows():
 
 
 def test_rows_are_symbol_matrices_only():
-    # plain numbers are rank-coded one sequence at a time, and the parse
-    # counts the phrases of one sequence
-    with pytest.raises(ValueError, match="one non-empty row"):
+    # plain numbers are no symbols, and the parse counts the phrases of one sequence
+    with pytest.raises(ValueError, match="expected a SymbolSequence"):
         shannon_entropy(np.zeros((2, 5)))
     with pytest.raises(ValueError, match="one sequence"):
         lz_complexity(SymbolSequence(np.zeros((2, 5)), 2))

@@ -611,6 +611,31 @@ def test_every_config_key_builds_what_its_flag_builds(dataset):
     assert [name for name in fields if getattr(config, name) == getattr(default, name)] == []
 
 
+def test_feature_run_rejects_record_flags_before_reading(dataset, capsys):
+    # neither the feature file, the grid nor the sidecar exists: nothing is read
+    code = main(
+        ["run", "--features", str(dataset / "missing.csv"), "--skip-header", "--stride", "5",
+         "--no-filter", "--segment-length", "3", "--format", "212", "--channel", "1",
+         "--zero-tol", "0.5", "--grid", str(dataset / "g.txt"),
+         "--sidecar", str(dataset / "nowhere.csv")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "usage error: feature files take no record settings: sidecar, format, channel, "
+        "segment_length, stride, filter, grid, zero_tol\n"
+    )
+
+
+def test_feature_pairs_rejects_record_config_keys(dataset, capsys):
+    conf = dataset / "pairs.conf"
+    conf.write_text("stride = 5\ngrid = g.txt\nmode = exists\n")
+    code = main(["pairs", "--features", str(dataset / "missing.csv"), "--config", str(conf)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "usage error: feature files take no record settings: stride, grid\n"
+    )
+
+
 def test_run_bad_grid_is_usage_error(dataset, capsys):
     bad = dataset / "bad_grid.txt"
     bad.write_text("ripple binary\n")

@@ -159,6 +159,41 @@ def test_config_validation(record_setup):
         ExperimentConfig(records=(p1,), sidecar=sidecar, mode="always")
 
 
+RECORD_SETTINGS = {
+    "sidecar": "labels.csv",
+    "format": "212",
+    "channel": 1,
+    "column": 1,
+    "delimiter": ",",
+    "signal_count": 1,
+    "sample_rate": 250.0,
+    "segment_length": 3,
+    "stride": 5,
+    "filter": False,
+    "grid": (EncoderSpec("slope", 2),),
+    "zero_tol": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_SETTINGS))
+def test_feature_files_reject_each_record_setting(name):
+    with pytest.raises(ValueError, match=f"feature files take no record settings: {name}$"):
+        ExperimentConfig(features=("f.csv",), **{name: RECORD_SETTINGS[name]})
+
+
+def test_feature_files_name_every_record_setting():
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(features=("f.csv",), **RECORD_SETTINGS)
+    # in field order, each once
+    assert str(info.value).endswith(": " + ", ".join(RECORD_SETTINGS))
+    # a default given explicitly is no setting, and the feature-file fields stay free
+    defaults = {"format": "text", "stride": None, "filter": True, "grid": tuple(default_encoder_grid())}
+    config = ExperimentConfig(
+        features=("f.csv",), skip_header=True, mode="exists", out="o", **defaults
+    )
+    assert config.mode == "exists"
+
+
 # --- synthetic clusters ----------------------------------------------------------
 
 def test_make_clusters_deterministic():
