@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -73,6 +74,48 @@ def shannon_entropy_normalized(seq: SymbolSequence) -> float:
     return shannon_entropy(seq) / math.log2(seq.alphabet_size)
 
 
+def _build_lz(source: Path):
+    """``lz_row`` of the C file ``source``, compiled on first use into
+    ``__pycache__/_lz-<sha256 of the source>.so`` beside it and loaded
+    through ctypes; None when there is no compiler, the compile fails, or
+    the library cannot be written or loaded.
+
+    The compiler writes a temporary file that ``os.replace`` moves into
+    place, so concurrent first uses never load a partly written library.
+    """
+    import ctypes
+    import hashlib
+    import os
+    import subprocess
+    import tempfile
+
+    try:
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        lib = source.parent / "__pycache__" / f"_lz-{digest}.so"
+        if not lib.exists():
+            lib.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".so", "_lz-", lib.parent)
+            os.close(fd)
+            try:
+                command = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(source)]
+                subprocess.run(command, check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib)).lz_row
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes, kernel.restype = (ctypes.c_char_p, ctypes.c_long), ctypes.c_long
+    return kernel
+
+
+@lru_cache(maxsize=None)
+def _lz_kernel():
+    """The compiled phrase counter of ``_lz.c``, built at the first call, or None."""
+    return _build_lz(Path(__file__).with_name("_lz.c"))
+
+
 def lz_complexity(seq) -> int:
     """Number of phrases in the left-to-right exhaustive parsing of one sequence.
 
@@ -81,6 +124,11 @@ def lz_complexity(seq) -> int:
     last symbol (the copy window may overlap the phrase being built); the
     first non-copyable extension closes the phrase. A trailing phrase cut
     short by the end of the sequence counts as one.
+
+    Rows of codes below 4 are counted by the compiled suffix-automaton
+    kernel of ``_lz.c`` (:func:`_lz_kernel`). Where it cannot be built, and
+    for a row with a larger code, the Python parse below gives the same
+    count.
 
     The parse carries ``p``, the earliest start of a copy of the current
     phrase, which starts at ``m``. Every copy of a word is also a copy of
@@ -105,6 +153,9 @@ def lz_complexity(seq) -> int:
         raise ValueError("lz_complexity parses one sequence, not rows")
     s = codes.tobytes()
     n = len(s)
+    kernel = _lz_kernel()
+    if kernel is not None and (count := kernel(s, n)) >= 0:
+        return count
     win = np.ndarray((n,), ">u8", s + bytes(7), 0, (1,)).tolist()
     # the first symbol has nothing before it to copy, so it is a phrase alone
     count, m, i, d = 1, 1, 1, 1

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecgsym.features as features
 from ecgsym.distribution import LabeledFeatureSet, code_labels, evaluate_distribution
 from ecgsym.encoding import EncoderSpec, encode
 from ecgsym.experiment import (
@@ -558,3 +561,20 @@ def test_demo_outputs_are_pinned(tmp_path):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
     }
     assert digests == DEMO_OUTPUT_SHA256
+
+
+def test_kernel_and_python_parse_write_the_same_files(tmp_path, monkeypatch):
+    # the benchmark's grid212 input, its phrases counted by the compiled
+    # kernel and then by the Python parse the loader falls back to
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert features._lz_kernel() is not None
+    config = demo_config(tmp_path, 25, 0)
+    outputs = []
+    for name in ("kernel", "python"):
+        if name == "python":
+            monkeypatch.setattr(features, "_lz_kernel", lambda: None)
+        out = tmp_path / name
+        run_experiment(replace(config, out=str(out)))
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 25

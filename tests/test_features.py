@@ -1,10 +1,15 @@
 import math
+import re
+import shutil
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ecgsym.features as features
 from ecgsym.encoding import SymbolSequence
 from ecgsym.features import (
     FeatureVector,
@@ -70,44 +75,70 @@ def test_entropy_permutation_invariant(values):
     )
 
 
+# --- parsing complexity -------------------------------------------------------------
+#
+# Every count is taken twice: by the compiled kernel, and by the Python parse
+# that lz_complexity falls back to when the loader finds no kernel.
+
+
+def both_parses(feature, seq):
+    """``feature(seq)`` by the compiled kernel and by the Python parse; the two must agree."""
+    by_kernel = feature(seq)
+    with mock.patch.object(features, "_lz_kernel", lambda: None):
+        by_python = feature(seq)
+    assert by_kernel == by_python
+    return by_kernel
+
+
+def lz(seq) -> int:
+    return both_parses(lz_complexity, seq)
+
+
+def test_kernel_loads_where_a_compiler_is_found():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert features._lz_kernel() is not None
+    # a code above 3 is left to the Python parse
+    assert features._lz_kernel()(b"\x00\x04", 2) == -1
+    assert lz(b"\x00\x04\x00\x04") == lz_count(b"\x00\x04\x00\x04") == 3
+
+
 def test_lz_not_permutation_invariant_witness():
     a, b = [0, 1, 1, 0, 1, 0], [0, 0, 1, 0, 1, 1]
     assert sorted(a) == sorted(b)
     assert lz_count(a) == 4 and lz_count(b) == 3
-    assert lz_complexity(binary(a)) == 4
-    assert lz_complexity(binary(b)) == 3
+    assert lz(binary(a)) == 4
+    assert lz(binary(b)) == 3
 
-
-# --- parsing complexity -------------------------------------------------------------
 
 def test_lz_single_symbol():
-    assert lz_complexity(binary([0])) == 1
+    assert lz(binary([0])) == 1
 
 
 def test_lz_textbook_parse():
     seq = [int(c) for c in "0001101001000101"]
     phrases = ["".join(map(str, p)) for p in lz_phrases(seq)]
     assert phrases == ["0", "001", "10", "100", "1000", "101"]
-    assert lz_complexity(binary(seq)) == 6
+    assert lz(binary(seq)) == 6
 
 
 def test_lz_all_zeros():
     assert lz_count([0] * 10) == 2
-    assert lz_complexity(binary([0] * 10)) == 2
+    assert lz(binary([0] * 10)) == 2
 
 
 def test_lz_matches_oracle_exhaustively_small():
     for n in range(1, 11):
         for bits in range(2**n):
             seq = [(bits >> i) & 1 for i in range(n)]
-            assert lz_complexity(binary(seq)) == lz_count(seq), seq
+            assert lz(binary(seq)) == lz_count(seq), seq
 
 
 def test_lz_matches_oracle_random_ternary():
     rng = np.random.default_rng(99)
     for _ in range(200):
         seq = rng.integers(-1, 2, size=60)
-        assert lz_complexity(ternary(seq)) == lz_count(seq)
+        assert lz(ternary(seq)) == lz_count(seq)
 
 
 @given(st.one_of(binary_seqs, ternary_seqs))
@@ -115,12 +146,12 @@ def test_lz_bounds(values):
     c = lz_count(values)
     assert 1 <= c <= len(values)
     alphabet = 2 if min(values, default=0) >= 0 else 3
-    assert lz_complexity(SymbolSequence(np.array(values), alphabet)) == c
+    assert lz(SymbolSequence(np.array(values), alphabet)) == c
 
 
 @given(st.integers(2, 200))
 def test_lz_constant_runs(n):
-    assert lz_complexity(binary([1] * n)) == 2
+    assert lz(binary([1] * n)) == 2
 
 
 @given(
@@ -128,7 +159,7 @@ def test_lz_constant_runs(n):
 )
 def test_lz_matches_oracle_on_long_runs(runs):
     values = [v for v, length in runs for _ in range(length)]
-    assert lz_complexity(ternary(values)) == lz_count(values)
+    assert lz(ternary(values)) == lz_count(values)
 
 
 # lengths 1-40 cross the edge of the parse's 8-symbol windows several times
@@ -152,9 +183,74 @@ periodic_zero_tails = st.builds(
 @example(b"\x02\x01" * 20)  # a periodic row whose last copy runs to the end
 @example(b"\x00\x01\x02" * 13)
 def test_lz_matches_resumed_parse_on_bytes(s):
-    assert lz_complexity(s) == lz_count_resumed(s)
+    assert lz(s) == lz_count_resumed(s)
     if len(s) <= 40:
-        assert lz_complexity(s) == lz_count(s)
+        assert lz(s) == lz_count(s)
+
+
+# rows up to a full segment's 720 symbols over 1-4 codes, drawn freely or
+# as runs of one code, as slope and threshold symbols of flat steps give
+random_rows = st.integers(1, 4).flatmap(
+    lambda a: st.lists(st.integers(0, a - 1), min_size=1, max_size=720).map(bytes)
+)
+run_heavy_rows = st.integers(1, 4).flatmap(
+    lambda a: st.lists(
+        st.tuples(st.integers(0, a - 1), st.integers(1, 90)), min_size=1, max_size=40
+    ).map(lambda runs: bytes(code for code, length in runs for _ in range(length))[:720])
+)
+
+
+@given(st.one_of(random_rows, run_heavy_rows))
+def test_lz_matches_resumed_parse_on_long_rows(s):
+    assert lz(s) == lz_count_resumed(s)
+    if len(s) <= 40:
+        assert lz(s) == lz_count(s)
+
+
+# --- building the kernel ------------------------------------------------------------
+
+KERNEL_SOURCE = Path(features.__file__).with_name("_lz.c")
+CHECK_ROWS = [b"\x00", b"\x01\x00\x00\x01\x00\x01", bytes([0, 1, 2, 3] * 9 + [2] * 30)]
+
+
+def no_compiler(monkeypatch, source: Path) -> None:
+    monkeypatch.setenv("PATH", str(source.parent / "empty"))
+
+
+def failing_compile(monkeypatch, source: Path) -> None:
+    source.write_text("long lz_row(const unsigned char *row, long n) { return n }\n")
+
+
+def unwritable_cache(monkeypatch, source: Path) -> None:
+    # a file where the cache directory goes: it cannot be written into, even by root
+    (source.parent / "__pycache__").write_bytes(b"")
+
+
+@pytest.mark.parametrize("fault", [no_compiler, failing_compile, unwritable_cache])
+def test_a_kernel_that_cannot_be_built_leaves_the_python_parse(tmp_path, monkeypatch, fault):
+    source = tmp_path / "_lz.c"
+    shutil.copy(KERNEL_SOURCE, source)
+    fault(monkeypatch, source)
+    assert features._build_lz(source) is None
+    # neither a library nor a temporary file of the compiler's is left behind
+    assert not list(tmp_path.rglob("_lz-*"))
+    monkeypatch.setattr(features, "_lz_kernel", lambda: features._build_lz(source))
+    for row in CHECK_ROWS:
+        assert lz_complexity(row) == lz_count(row)
+
+
+def test_a_changed_source_is_built_anew(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    source = tmp_path / "_lz.c"
+    shutil.copy(KERNEL_SOURCE, source)
+    kernel = features._build_lz(source)
+    assert [kernel(row, len(row)) for row in CHECK_ROWS] == [lz_count(row) for row in CHECK_ROWS]
+    source.write_text("long lz_row(const unsigned char *row, long n) { return 7; }\n")
+    assert features._build_lz(source)(CHECK_ROWS[0], 1) == 7
+    # one library per source text, and no temporary file left beside them
+    libraries = sorted(p.name for p in (tmp_path / "__pycache__").iterdir())
+    assert len(libraries) == 2 and all(re.fullmatch(r"_lz-[0-9a-f]{64}\.so", n) for n in libraries)
 
 
 def test_features_reject_empty_bytes():
@@ -172,11 +268,11 @@ def test_features_reject_plain_sequences(plain):
 
 
 def test_lz_normalized_values():
-    assert lz_normalized(binary([0] * 512)) == 2 * 9 / 512
+    assert both_parses(lz_normalized, binary([0] * 512)) == 2 * 9 / 512
     seq = binary([int(c) for c in "0001101001000101"])
-    assert lz_normalized(seq) == 6 * 4 / 16
+    assert both_parses(lz_normalized, seq) == 6 * 4 / 16
     pair = binary([0, 1])
-    assert lz_normalized(pair) == lz_complexity(pair) / 2  # log_alpha(alpha) = 1
+    assert both_parses(lz_normalized, pair) == lz(pair) / 2  # log_alpha(alpha) = 1
 
 
 def test_lz_normalized_rejects_length_one():
