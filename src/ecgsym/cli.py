@@ -357,8 +357,6 @@ def cmd_synth(args) -> int:
     try:
         for name in names or ():  # the features.csv rule, with or without --out
             exp.check_label(name)
-            if names.count(name) > 1:
-                raise ValueError(f"class name {name!r} repeated in --names")
         dataset = exp.make_clusters(centers, args.per_class, args.spread, args.seed, names)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

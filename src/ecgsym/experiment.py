@@ -283,8 +283,10 @@ def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) ->
         raise ValueError("need one name per center")
     rng = np.random.default_rng(seed)
     classes = {}
-    for name, center, size, sigma in zip(names, centers, sizes, spreads):
-        classes[str(name)] = center + rng.normal(0.0, sigma, size=(int(size), centers.shape[1]))
+    for name, center, size, sigma in zip(map(str, names), centers, sizes, spreads):
+        if name in classes:
+            raise ValueError(f"class name {name!r} repeated")
+        classes[name] = center + rng.normal(0.0, sigma, size=(int(size), centers.shape[1]))
     return LabeledFeatureSet(classes)
 
 
@@ -392,23 +394,23 @@ class PairRow:
 def pairwise_table(result: ExperimentResult, pairs) -> list[PairRow]:
     """Best encoder per class pair over the already-computed features.
 
-    Every pair is read from the pair counts of each entry's report, which
-    come from the one distance table its evaluation built; a pair's value
-    is bit for bit the per-element overlap of its two classes evaluated
-    alone, which is the same in "forall" and "exists" mode.
+    Every entry of a result shares its classes, so the pairs are checked
+    once. Every pair is read from the pair counts of each entry's report,
+    which come from the one distance table its evaluation built; a pair's
+    value is bit for bit the per-element overlap of its two classes
+    evaluated alone, which is the same in "forall" and "exists" mode.
     """
     pairs = list(pairs)
+    index = {name: i for i, name in enumerate(result.entries[0].report.class_names)}
+    for first, second in pairs:
+        missing = [name for name in (first, second) if name not in index]
+        if missing:
+            raise ValueError(f"unknown class name(s): {', '.join(missing)}")
+        if first == second:
+            raise ValueError(f"pair {first!r} vs {second!r} names one class twice")
     best: list[tuple[str | None, float | None]] = [(None, None)] * len(pairs)
     for entry in result.entries:
-        report = entry.report
-        index = {name: i for i, name in enumerate(report.class_names)}
-        for first, second in pairs:
-            missing = [name for name in (first, second) if name not in index]
-            if missing:
-                raise ValueError(f"unknown class name(s): {', '.join(missing)}")
-            if first == second:
-                raise ValueError(f"pair {first!r} vs {second!r} names one class twice")
-        counts, sizes = report.pair_counts, report.class_sizes
+        counts, sizes = entry.report.pair_counts, entry.report.class_sizes
         for k, (first, second) in enumerate(pairs):
             a, b = index[first], index[second]
             value = float(Fraction(counts[a][b] + counts[b][a], sizes[a] + sizes[b]))

@@ -13,9 +13,10 @@ bit as filtering that row alone does.
 Every filter is FIR. A denominator must be a constant or cancel to one
 against numerator zeros at z = 1; each stock denominator is a power of
 (1 - z^-1) that does, so every stock filter has integer taps and one
-integer divisor (the band-pass: 42 taps over 1152). Filtering is one
-convolution and one division, and an integer-valued input gives each
-output as the correctly rounded K/divisor for an integer K.
+integer divisor (the band-pass: 42 taps over 1152). A filter call pads
+each row, convolves the whole stack once and divides the outputs it
+keeps, so an integer-valued input gives each output as the correctly
+rounded K/divisor for an integer K.
 """
 
 from __future__ import annotations
@@ -152,30 +153,23 @@ def make_bandpass() -> FilterCoefficients:
 
 
 def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
-    """Filter each row: one convolution with the taps, one division.
+    """Filter each row: lead it with ``taps.size - 1`` zeros, convolve the
+    stack once with the taps, drop the lead and divide.
 
     Rows must be non-empty. Sample references before the start of a row
-    read as zero, so the output has the shape and sample rate of the
-    input: the rows are convolved as one flattened sequence, and the first
-    ``taps.size - 1`` outputs of each row, which would read the end of the
-    row before, are redone from the row's head led by that many zeros. For
-    integer taps (every stock filter) with integer-valued input and
-    max|x| * sum|taps| < 2**53, every partial sum is an exact integer K,
-    so each output is the correctly rounded K / divisor.
+    read as the zeros of its lead, so the output has the shape and sample
+    rate of the input. For integer taps (every stock filter) with
+    integer-valued input and max|x| * sum|taps| < 2**53, every partial sum
+    is an exact integer K, so each output is the correctly rounded
+    K / divisor.
     """
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
-    rows = np.atleast_2d(x)
     history = coeffs.taps.size - 1
-    y = np.convolve(rows.ravel(), coeffs.taps)[: rows.size].reshape(rows.shape)
-    head = min(history, rows.shape[1])
-    if head:
-        led = np.pad(rows[:, :head], ((0, 0), (history, 0)))
-        redone = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)
-        y[:, :head] = redone[:, history:]
-    y /= coeffs.divisor
-    return Signal(y.reshape(x.shape), signal.sample_rate)
+    led = np.pad(np.atleast_2d(x), ((0, 0), (history, 0)))
+    y = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)
+    return Signal((y[:, history:] / coeffs.divisor).reshape(x.shape), signal.sample_rate)
 
 
 def _poly_sums(c: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,14 +234,11 @@ def alignment_delay(coeffs: FilterCoefficients, omega: float) -> float:
 
 @dataclass(frozen=True)
 class PaddingPlan:
-    """Lead/trail pad lengths (in samples) for compensated filtering."""
+    """Lead/trail pad lengths (in samples) for compensated filtering;
+    :func:`compensation_plan` rejects a plan below the least one."""
 
     lead: int
     trail: int
-
-    def __post_init__(self):
-        if self.lead < 0 or self.trail < 0:
-            raise ValueError("pad lengths must be non-negative")
 
 
 def compensation_plan(
@@ -285,19 +276,19 @@ def filter_compensated(
     """Filter each (non-empty) row without losing samples to transient or delay.
 
     Each row is extended with replicas of its first sample on the left
-    and its last sample on the right, filtered with :func:`apply_filter`,
-    and a window of the row's length is extracted starting at
-    ``lead + shift``, both from one :func:`compensation_plan` call with
-    ``plan``. The result has the shape of the input and is phase-aligned
-    with it at the passband center.
+    and its last sample on the right, the padded stack is convolved once
+    with the taps, and a window of the row's length starting at
+    ``lead + shift`` (both from one :func:`compensation_plan` call with
+    ``plan``) is divided by the divisor. The result has the shape of the
+    input and is phase-aligned with it at the passband center.
     """
     x = signal.samples
     if x.size == 0:
         raise ValueError("empty signal")
     plan, shift = compensation_plan(coeffs, signal.sample_rate, plan)
     padded = np.pad(np.atleast_2d(x), ((0, 0), (plan.lead, plan.trail)), mode="edge")
-    y = apply_filter(coeffs, Signal(padded, signal.sample_rate)).samples
-    del padded  # freed before the window is copied out: two stacks are held at most
-    start = plan.lead + shift
-    window = np.ascontiguousarray(y[:, start : start + x.shape[-1]])
+    y = np.convolve(padded.ravel(), coeffs.taps)[: padded.size].reshape(padded.shape)
+    del padded  # freed before the window is made: two stacks are held at most
+    start = plan.lead + shift  # >= order >= taps.size - 1: no kept output reads the row before
+    window = y[:, start : start + x.shape[-1]] / coeffs.divisor
     return Signal(window.reshape(x.shape), signal.sample_rate)

@@ -19,6 +19,8 @@ from ecgsym.experiment import ExperimentConfig
 from ecgsym.filtering import PaddingPlan, Signal, filter_compensated, make_bandpass
 from ecgsym.records import pack_format212
 
+from record_pipeline_demo import build_dataset
+
 FS = 360.0
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -139,6 +141,14 @@ def test_evaluate_round_trip(tmp_path, capsys):
     code = main(["evaluate", str(out / "features.csv"), "--skip-header"])
     assert code == 0
     assert "classes = 5" in capsys.readouterr().out
+
+
+def test_evaluate_out_writes_what_it_prints(tmp_path, capsys):
+    main(["synth", "--per-class", "30", "--out", str(tmp_path / "synth"), "--seed", "2"])
+    capsys.readouterr()
+    out = tmp_path / "report.txt"
+    assert main(["evaluate", str(tmp_path / "synth" / "features.csv"), "--skip-header", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_evaluate_missing_file_is_data_error(tmp_path, capsys):
@@ -750,6 +760,20 @@ def no_work(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
+def test_run_config_bad_boolean_is_usage_error(tmp_path, capsys, no_work):
+    config = tmp_path / "run.conf"
+    config.write_text("filter = maybe\n")
+    assert main(["run", "--config", str(config)]) == 1
+    assert "not a boolean: 'maybe'" in capsys.readouterr().err
+
+
+def test_run_missing_channel_is_data_error(tmp_path, capsys):
+    # the demo's 212 records hold two signals, channels 0 and 1
+    records, sidecar = build_dataset(tmp_path, 2, 0)
+    assert main(["run", *records, "--sidecar", sidecar, "--format", "212", "--channel", "2"]) == 2
+    assert "no channel 2" in capsys.readouterr().err
+
+
 _BAD_RECORD_FLAGS = [
     (["--stride", "0"], "stride must be at least 1"),
     (["--sample-rate", "0"], "sample_rate must be positive"),
@@ -856,10 +880,11 @@ def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, val
             (["--spread", "inf"], "spread must be finite and non-negative"),
             (["--centers", "0,0;nan,1"], "cluster centers must be finite"),
             (["--names", "a,b"], "need one name per center"),
+            (["--centers", "0,0;x"], "cannot parse centers '0,0;x'"),
             # a class named twice would merge two clusters into one
             (["--classes", "3", "--per-class", "10", "--names", "A,A,B"],
-             "class name 'A' repeated in --names"),
-            (["--classes", "2", "--names", "A,A"], "class name 'A' repeated in --names"),
+             "usage error: class name 'A' repeated\n"),
+            (["--classes", "2", "--names", "A,A"], "usage error: class name 'A' repeated\n"),
             # a name the features.csv rows cannot hold
             (["--classes", "2", "--names", "x\ny,z"], "label 'x\\ny' contains a comma or a newline"),
             # a name features.csv would read back stripped

@@ -341,6 +341,11 @@ def test_from_codes_rejects_bad_codes_and_names():
         LabeledFeatureSet.from_codes([0, 1], [1, "1"], [(0, 0), (1, 1)])
 
 
+def test_from_codes_with_no_rows_rejected():
+    with pytest.raises(ValueError, match="no classes given"):
+        LabeledFeatureSet.from_codes([], (), np.empty((0, 2)))
+
+
 @pytest.fixture(scope="module")
 def feature_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("features")

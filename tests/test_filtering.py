@@ -373,6 +373,24 @@ def test_insufficient_padding_rejected():
         filter_compensated(make_bandpass(), x, PaddingPlan(10, 65))
 
 
+def test_negative_pad_rejected():
+    # the least plan is never negative, so a negative pad is always below it
+    x = Signal(np.ones(100), FS)
+    lead6 = FilterCoefficients(np.array([1.0, -0.9]), np.array([1.0]))  # least plan (7, 0)
+    for coeffs, plan in [
+        (make_bandpass(), PaddingPlan(-1, 21)),
+        (make_bandpass(), PaddingPlan(44, -1)),
+        (lead6, PaddingPlan(7, -1)),
+    ]:
+        with pytest.raises(ValueError, match="insufficient padding"):
+            filter_compensated(coeffs, x, plan)
+
+
+def test_compensated_empty_signal_rejected():
+    with pytest.raises(ValueError, match="empty signal"):
+        filter_compensated(make_bandpass(), Signal(np.empty((0, 720)), FS))
+
+
 def test_default_padding():
     assert compensation_plan(make_bandpass()) == (PaddingPlan(44, 21), 21)
     assert compensation_plan(make_lowpass())[0] == PaddingPlan(12, 5)
@@ -420,6 +438,42 @@ def test_output_does_not_depend_on_the_pads(kind, rate, rows, length, integer, s
     np.testing.assert_array_equal(
         padded.samples.view(np.int64), filter_compensated(coeffs, signal).samples.view(np.int64)
     )
+
+
+_FILTERS = {
+    **_STOCK_FILTERS,
+    # leads an 8 Hz sinusoid at 360 Hz by 6 samples: a negative shift
+    "lead6": lambda: FilterCoefficients(np.array([1.0, -0.9]), np.array([1.0])),
+}
+
+
+@given(
+    st.sampled_from(sorted(_FILTERS)),
+    st.sampled_from([250.0, 360.0, 1000.0, 5000.0]),
+    st.integers(1, 4),
+    st.integers(1, 300),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 60),
+    st.integers(0, 60),
+)
+@settings(max_examples=100)
+def test_compensated_is_apply_filter_of_the_padded_rows(kind, rate, rows, length, integer, seed, a, b):
+    # one convolution of the padded stack keeps, bit for bit, what filtering
+    # each padded row alone gives in the window at lead + shift
+    coeffs = _FILTERS[kind]()
+    rng = np.random.default_rng(seed)
+    if integer:
+        x = rng.integers(-2048, 2048, (rows, length)).astype(float)
+    else:
+        x = rng.normal(0.0, rng.uniform(0.01, 1000.0), (rows, length))
+    least, shift = compensation_plan(coeffs, rate)
+    plan = PaddingPlan(least.lead + a, least.trail + b)
+    padded = np.pad(x, ((0, 0), (plan.lead, plan.trail)), mode="edge")
+    start = plan.lead + shift
+    want = apply_filter(coeffs, Signal(padded, rate)).samples[:, start : start + length]
+    got = filter_compensated(coeffs, Signal(x, rate), plan).samples
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_frequency_response_magnitudes():
