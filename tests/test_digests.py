@@ -54,7 +54,7 @@ def write_outputs(root: Path) -> None:
 
 
 @pytest.mark.parametrize("parse", ["kernel", "python"])
-def test_outputs_match_their_digests(tmp_path, monkeypatch, capsys, parse):
+def test_outputs_match_their_digests(tmp_path, monkeypatch, parse):
     if parse == "python":
         monkeypatch.setattr(features, "_lz_kernel", lambda: None)
     write_outputs(tmp_path)

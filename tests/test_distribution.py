@@ -339,9 +339,6 @@ def test_from_codes_rejects_bad_codes_and_names():
         LabeledFeatureSet.from_codes([-1, 1], ["a", "b"], [(0, 0), (1, 1)])
     with pytest.raises(ValueError, match="class names repeat"):
         LabeledFeatureSet.from_codes([0, 1], [1, "1"], [(0, 0), (1, 1)])
-
-
-def test_from_codes_with_no_rows_rejected():
     with pytest.raises(ValueError, match="no classes given"):
         LabeledFeatureSet.from_codes([], (), np.empty((0, 2)))
 

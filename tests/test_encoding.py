@@ -132,12 +132,9 @@ def test_symbol_sequence_validation():
         SymbolSequence(np.array([0, 2]), 2)
     with pytest.raises(ValueError, match="alphabet"):
         SymbolSequence(np.array([0, 1]), 5)
-    assert len(SymbolSequence(np.array([-1, 0, 1]), 3)) == 3
-
-
-def test_symbol_sequence_takes_one_row_or_a_matrix_of_rows():
     with pytest.raises(ValueError, match="one row or a matrix of rows"):
         SymbolSequence(np.zeros((2, 2, 2), dtype=int), 2)
+    assert len(SymbolSequence(np.array([-1, 0, 1]), 3)) == 3
 
 
 def test_threshold_encode_of_an_empty_signal_rejected():

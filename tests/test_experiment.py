@@ -221,9 +221,6 @@ def test_make_clusters_validation():
         make_clusters([(0, 0), (1, 1)], 5, -0.1)
     with pytest.raises(ValueError, match="one name per center"):
         make_clusters([(0, 0), (1, 1)], 5, 0.1, names=["only"])
-
-
-def test_make_clusters_rejects_a_repeated_name():
     # the second 'A' cluster would replace the first, leaving two classes
     with pytest.raises(ValueError, match="^class name 'A' repeated$"):
         make_clusters([[0, 0], [1, 1], [2, 2]], 5, names=["A", "B", "A"])

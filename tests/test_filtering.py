@@ -185,6 +185,8 @@ def test_integer_record_filters_exactly():
 def test_empty_signal_rejected():
     with pytest.raises(ValueError, match="empty signal"):
         apply_filter(make_lowpass(), Signal(np.array([0.0])[:0], FS))
+    with pytest.raises(ValueError, match="empty signal"):
+        filter_compensated(make_bandpass(), Signal(np.empty((0, 720)), FS))
 
 
 @given(
@@ -371,11 +373,7 @@ def test_insufficient_padding_rejected():
         filter_compensated(make_bandpass(), x, PaddingPlan(65, 10))
     with pytest.raises(ValueError, match="insufficient padding"):
         filter_compensated(make_bandpass(), x, PaddingPlan(10, 65))
-
-
-def test_negative_pad_rejected():
     # the least plan is never negative, so a negative pad is always below it
-    x = Signal(np.ones(100), FS)
     lead6 = FilterCoefficients(np.array([1.0, -0.9]), np.array([1.0]))  # least plan (7, 0)
     for coeffs, plan in [
         (make_bandpass(), PaddingPlan(-1, 21)),
@@ -384,11 +382,6 @@ def test_negative_pad_rejected():
     ]:
         with pytest.raises(ValueError, match="insufficient padding"):
             filter_compensated(coeffs, x, plan)
-
-
-def test_compensated_empty_signal_rejected():
-    with pytest.raises(ValueError, match="empty signal"):
-        filter_compensated(make_bandpass(), Signal(np.empty((0, 720)), FS))
 
 
 def test_default_padding():
