@@ -196,12 +196,17 @@ def _add_features_flags(p):
 
 
 def cmd_features(args) -> int:
+    alphabet = (-1, 0, 1) if args.alphabet == 3 else (0, 1)
     values = []
     for row_no, line in numbered_rows(*read_rows(args.input)):
         try:
             values.append(int(line))
         except ValueError:
             raise ValueError(f"{args.input}: row {row_no} is not a symbol: {line!r}") from None
+        if values[-1] not in alphabet:
+            raise ValueError(f"{args.input}: row {row_no} is outside the alphabet {alphabet}: {line!r}")
+    if not values:
+        raise ValueError(f"{args.input}: no symbols")
     seq = SymbolSequence(np.array(values), args.alphabet)
     fv = extract_features(seq, enforce_min_length=not args.allow_short)
     _write_output(
@@ -335,11 +340,13 @@ def _ring_centers(m: int) -> np.ndarray:
 
 
 def _add_synth_flags(p):
-    p.add_argument("--classes", type=int, default=5)
+    layout = p.add_mutually_exclusive_group()
+    # None, not 5: argparse's exclusion check skips a value that is its default
+    layout.add_argument("--classes", type=int, default=None, help="classes on a ring (default: 5)")
+    layout.add_argument("--centers", type=_utf8, default=None, help="'x,y;x,y;...' (default: ring layout)")
     p.add_argument("--per-class", type=int, default=200)
     p.add_argument("--spread", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--centers", type=_utf8, default=None, help="'x,y;x,y;...' (default: ring layout)")
     p.add_argument("--names", type=_utf8, default=None, help="comma-separated class names")
     p.add_argument("--mode", choices=("forall", "exists"), default="forall")
     p.add_argument("--out", default=None)
@@ -352,7 +359,7 @@ def cmd_synth(args) -> int:
         except ValueError:
             raise UsageError(f"cannot parse centers {args.centers!r}") from None
     else:
-        centers = _ring_centers(args.classes)
+        centers = _ring_centers(5 if args.classes is None else args.classes)
     names = args.names.split(",") if args.names else None
     try:
         for name in names or ():  # the features.csv rule, with or without --out

@@ -265,6 +265,8 @@ def load_features_csv(path, skip_header: bool = False):
 
 def make_clusters(centers, per_class, spread=0.05, seed: int = 0, names=None) -> LabeledFeatureSet:
     """Isotropic Gaussian clusters at given centers, deterministic per seed."""
+    if len({np.shape(center) for center in centers}) > 1:
+        raise ValueError("cluster centers differ in their number of coordinates")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     m = centers.shape[0]
     if m < 2:

