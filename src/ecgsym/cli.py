@@ -284,10 +284,9 @@ def _config_from_args(args) -> exp.ExperimentConfig:
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     result = exp.run_experiment(config)
-    print(f"{'rank':<5} {'encoder':<28} {'overlap_per_element':>20}")
-    for rank, idx in enumerate(result.ranking, start=1):
-        entry = result.entries[idx]
-        print(f"{rank:<5} {entry.label:<28} {entry.report.overlap_per_element:>20.6f}")
+    ranked = [result.entries[idx] for idx in result.ranking]
+    rows = ((rank, e.label, e.report.overlap_per_element) for rank, e in enumerate(ranked, start=1))
+    print(exp.overlap_table_text("rank", 5, rows), end="")
     if config.out:
         print(f"reports and scatter data written to {config.out}")
     return 0
@@ -325,9 +324,9 @@ def cmd_pairs(args) -> int:
     names = list(result.class_counts)
     if pairs is None:
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    _check_pair_names(pairs, names)
-    table = exp.pairwise_table(result, pairs)
-    text = exp.pair_table_text(table)
+    elif config.features:  # record input was checked against the sidecar above
+        _check_pair_names(pairs, names)
+    text = exp.pair_table_text(exp.pairwise_table(result, pairs))
     if config.out:
         write_text(Path(config.out) / "pairs.txt", text)
     print(text, end="")

@@ -379,7 +379,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     counts = dict(zip(entries[0].report.class_names, entries[0].report.class_sizes))
     result = ExperimentResult(entries, rank_entries(entries), counts, skipped, dropped)
     if config.out is not None:
-        emit_plot_data(result.entries, config.out)
+        emit_plot_data(result, config.out)
     return result
 
 
@@ -421,13 +421,17 @@ def pairwise_table(result: ExperimentResult, pairs) -> list[PairRow]:
     return [PairRow(a, b, label, value) for (a, b), (label, value) in zip(pairs, best)]
 
 
+def overlap_table_text(head: str, width: int, rows) -> str:
+    """(key, encoder, overlap_per_element) rows under a header; the key and
+    encoder columns fit their longest entry, and are at least ``width`` and 28 wide."""
+    rows = [(head, "encoder", "overlap_per_element"), *((str(k), e, f"{v:.6f}") for k, e, v in rows)]
+    w0, w1 = (max(least, *(len(row[c]) for row in rows)) for c, least in enumerate((width, 28)))
+    return "".join(f"{k:<{w0}} {e:<{w1}} {v:>20}\n" for k, e, v in rows)
+
+
 def pair_table_text(table: list[PairRow]) -> str:
-    lines = [f"{'pair':<24} {'encoder':<28} {'overlap_per_element':>20}"]
-    for row in table:
-        lines.append(
-            f"{row.first + ' vs ' + row.second:<24} {row.encoder:<28} {row.overlap_per_element:>20.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((f"{r.first} vs {r.second}", r.encoder, r.overlap_per_element) for r in table)
+    return overlap_table_text("pair", 24, rows)
 
 
 def _slug(label: str) -> str:
@@ -457,22 +461,19 @@ def features_csv_text(names, codes, points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_data(entries: list[EncoderRun], out_dir) -> list[Path]:
-    """Write each entry's report and scatter file and the ranked summary
-    table; every file's text is made, and so every class name checked,
-    before the first is written."""
+def emit_plot_data(result: ExperimentResult, out_dir) -> list[Path]:
+    """Write each entry's report and scatter file and the summary table in
+    ``result.ranking`` order; every file's text is made, and so every class
+    name checked, before the first is written."""
     out, files = Path(out_dir), {}
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(result.entries):
         stem = f"{i:02d}_{_slug(entry.label)}"
         files[out / f"report_{stem}.txt"] = f"encoder = {entry.label}\n" + entry.report.to_text()
-        scatter = features_csv_text(entry.names, entry.codes, entry.points)
-        files[out / f"scatter_{stem}.csv"] = scatter
+        files[out / f"scatter_{stem}.csv"] = features_csv_text(entry.names, entry.codes, entry.points)
     lines = ["rank,encoder,total_overlap,overlap_per_element,overlap_per_class,mode"]
-    for rank, idx in enumerate(rank_entries(entries), start=1):
-        rep = entries[idx].report
-        lines.append(
-            f"{rank},{entries[idx].label},{rep.total_overlap},"
-            f"{rep.overlap_per_element!r},{rep.overlap_per_class!r},{rep.mode}"
-        )
+    for rank, idx in enumerate(result.ranking, start=1):
+        label, rep = result.entries[idx].label, result.entries[idx].report
+        lines.append(f"{rank},{label},{rep.total_overlap},{rep.overlap_per_element!r},"
+                     f"{rep.overlap_per_class!r},{rep.mode}")
     files[out / "summary.csv"] = "\n".join(lines) + "\n"
     return [write_text(path, text) for path, text in files.items()]

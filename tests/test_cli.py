@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgsym.cli import _config_from_args, build_parser, main
-from ecgsym.experiment import ExperimentConfig
+from ecgsym.experiment import ExperimentConfig, PairRow, load_features_csv, pair_table_text, run_experiment
 from ecgsym.filtering import PaddingPlan, Signal, filter_compensated, make_bandpass
 from ecgsym.records import pack_format212
 
@@ -145,11 +145,14 @@ def test_evaluate_round_trip(tmp_path, capsys):
 
 
 def test_evaluate_out_writes_what_it_prints(tmp_path, capsys):
-    main(["synth", "--per-class", "30", "--out", str(tmp_path / "synth"), "--seed", "2"])
-    capsys.readouterr()
-    out = tmp_path / "report.txt"
-    assert main(["evaluate", str(tmp_path / "synth" / "features.csv"), "--skip-header", "--out", str(out)]) == 0
-    assert out.read_text() == capsys.readouterr().out
+    # and what synth wrote, with the default class names and with the
+    # paper's, which are not in sorted order: evaluate keeps the file's
+    for names in ([], ["--names", "Normal,AFIB,AFL,SVTA,VT"]):
+        main(["synth", "--per-class", "30", "--out", str(tmp_path / "synth"), "--seed", "2", *names])
+        capsys.readouterr()
+        out = tmp_path / "report.txt"
+        assert main(["evaluate", str(tmp_path / "synth" / "features.csv"), "--skip-header", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out == (tmp_path / "synth" / "report.txt").read_text()
 
 
 def test_evaluate_missing_file_is_data_error(tmp_path, capsys):
@@ -460,6 +463,42 @@ def test_run_end_to_end(dataset, capsys):
     assert len(scatter_files) == 2
     report_files = list(out.glob("report_*.txt"))
     assert len(report_files) == 2
+
+
+def test_each_report_is_what_evaluate_gives_on_its_scatter_file(tmp_path, capsys):
+    # the demo's run at seed 0 (25 windows per class, where 8 of the 12
+    # entries overlap): each scatter file reads back as its entry's labels and
+    # points, bit for bit, and evaluate prints on it the entry's report less
+    # its "encoder =" line
+    records, sidecar = build_dataset(tmp_path / "data", 25, 0)
+    out = tmp_path / "results"
+    config = ExperimentConfig(records=tuple(records), sidecar=sidecar, format="212", out=str(out))
+    result = run_experiment(config)
+    assert len(result.entries) == 12
+    for i, entry in enumerate(result.entries):
+        (report,) = out.glob(f"report_{i:02d}_*.txt")
+        scatter = out / f"scatter_{report.stem.removeprefix('report_')}.csv"
+        codes, names, points = load_features_csv(scatter, skip_header=True)
+        assert [names[code] for code in codes] == entry.labels
+        assert points.tobytes() == entry.points.tobytes(), scatter.name
+        assert main(["evaluate", str(scatter), "--skip-header"]) == 0
+        assert capsys.readouterr().out == report.read_text().removeprefix(f"encoder = {entry.label}\n")
+
+
+def test_ranking_columns_fit_their_longest_entry(dataset, capsys):
+    # threshold-ternary(E=0.0833333), the paper's best, is 30 characters: the
+    # encoder column widens past its least 28, and the pair column past 24
+    assert main(["run", str(dataset / "r1.txt"), str(dataset / "r2.txt"), "--sidecar",
+                 str(dataset / "labels.csv"), "--grid", str(dataset / "grid.txt")]) == 0
+    ranking = capsys.readouterr().out.splitlines()
+    pairs = pair_table_text([
+        PairRow("steady", "erratic", "threshold-ternary(E=0.0833333)", 0.25),
+        PairRow("a class named at length", "another", "slope-binary", 0.5),
+    ]).splitlines()
+    for table in (ranking, pairs):
+        # the overlap column is the last 20 characters of a row: it starts at
+        # one offset on every row when every row is as long as the header
+        assert len(table) == 3 and {len(line) for line in table} == {len(table[0])}
 
 
 def test_run_with_config_file(dataset, capsys):

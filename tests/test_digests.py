@@ -7,9 +7,9 @@ committed one:
   records, 25 windows per class, at seeds 0 and 5;
 - ``demo-0-w5/``: the same at 5 windows per class, seed 0;
 - ``synth/``: ``synth --per-class 50 --seed 3 --out``;
-- ``sig/``: the ``filter``, ``encode`` and ``features`` outputs of a fixed
-  text signal, named as CI's console-script run names them, so CI checks
-  its own files against the same digests;
+- ``sig/``: the ``filter``, ``encode`` and ``features`` outputs of the text
+  signal ``SIGNAL``, named as CI's console-script step names them, so CI
+  checks the installed script's files against the same digests;
 - ``filter/<signal>-<kind>.txt``: ``filter --kind <kind> --out`` of the two
   signals of ``write_filter_signals``, for each of the three kinds.
 
@@ -46,7 +46,8 @@ from record_pipeline_demo import build_dataset
 DIGESTS = Path(__file__).with_name("digests.json")
 KINDS = ("bandpass", "lowpass", "highpass")
 
-# the signal CI writes: 720 rows of round(300 sin(pi i / 22.5)), 8 Hz at 360 Hz
+# the sig/ signal, which CI's console-script step writes from here too:
+# 720 rows of round(300 sin(pi i / 22.5)), 8 Hz at 360 Hz
 SIGNAL = "\n".join(str(round(300 * math.sin(math.pi * i / 22.5))) for i in range(720)) + "\n"
 
 

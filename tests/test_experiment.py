@@ -448,7 +448,7 @@ def test_pairwise_makes_no_distribution_call(record_setup, monkeypatch):
 def test_emit_plot_data_rows_and_summary(record_setup, tmp_path):
     result = run_experiment(base_config(record_setup))
     out = tmp_path / "emit"
-    paths = emit_plot_data(result.entries, out)
+    paths = emit_plot_data(result, out)
     scatters = [p for p in paths if p.name.startswith("scatter_")]
     assert len(scatters) == len(result.entries)
     for path in scatters:
@@ -461,6 +461,11 @@ def test_emit_plot_data_rows_and_summary(record_setup, tmp_path):
     assert len(rows) == 1 + len(result.entries)
     values = [float(r.split(",")[3]) for r in rows[1:]]
     assert values == sorted(values)
+    # the rows follow result.ranking, whatever order it holds: nothing sorts them again
+    backwards = ExperimentResult(result.entries, result.ranking[::-1], result.class_counts)
+    emit_plot_data(backwards, tmp_path / "backwards")
+    rows = (tmp_path / "backwards" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [result.entries[i].label for i in backwards.ranking]
 
 
 @pytest.mark.parametrize(
@@ -479,11 +484,12 @@ def test_emit_plot_data_rejects_label_that_breaks_the_rows(tmp_path, label, mess
     good = LabeledFeatureSet({"x": [(0.1, 0.2)], "ok": [(0.8, 0.9)]})
     out = tmp_path / "emit"
     with pytest.raises(ValueError, match=message):
-        emit_plot_data([entry_from_dataset("e", bad)], out)
+        emit_plot_data(ExperimentResult([entry_from_dataset("e", bad)], [0], {}), out)
     assert not out.exists()
     # a bad label in the second entry leaves no file of the first
+    entries = [entry_from_dataset("g", good), entry_from_dataset("e", bad)]
     with pytest.raises(ValueError, match=message):
-        emit_plot_data([entry_from_dataset("g", good), entry_from_dataset("e", bad)], out)
+        emit_plot_data(ExperimentResult(entries, [0, 1], {}), out)
     assert not out.exists()
 
 
