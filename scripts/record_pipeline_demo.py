@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from ecgsym.experiment import ExperimentConfig, run_experiment
+from ecgsym.experiment import ExperimentConfig, overlap_table_text, run_experiment
 from ecgsym.records import pack_format212
 
 FS = 360.0
@@ -58,7 +58,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--work-dir", default="demo_data")
     parser.add_argument("--out", default="demo_results")
-    parser.add_argument("--windows-per-class", type=int, default=8)
+    parser.add_argument("--windows-per-class", type=int, default=25)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -72,10 +72,10 @@ def main() -> int:
     )
     result = run_experiment(config)
 
-    print(f"{'rank':<5} {'encoder':<30} {'overlap/element':>16}")
-    for rank, idx in enumerate(result.ranking, start=1):
-        entry = result.entries[idx]
-        print(f"{rank:<5} {entry.label:<30} {entry.report.overlap_per_element:>16.4f}")
+    # the table `ecgsym run` prints
+    ranked = [result.entries[idx] for idx in result.ranking]
+    rows = ((rank, e.label, e.report.overlap_per_element) for rank, e in enumerate(ranked, start=1))
+    print(overlap_table_text("rank", 5, rows), end="")
     print(f"\nclass counts: {result.class_counts}")
     print(f"reports and scatter files: {args.out}/")
     return 0

@@ -31,7 +31,7 @@ from .filtering import (
     make_highpass,
     make_lowpass,
 )
-from .records import numbered_rows, read_label_sidecar, read_rows, read_text_signal, write_text
+from .records import check_column, numbered_rows, read_label_sidecar, read_rows, read_text_signal, write_text
 
 
 class UsageError(Exception):
@@ -60,13 +60,7 @@ def _add_text_signal_flags(p, column=0, sample_rate=DEFAULT_SAMPLE_RATE):
 
 
 def _read_signal(args) -> Signal:
-    return read_text_signal(
-        args.input,
-        column=args.column,
-        delimiter=args.delimiter,
-        skip_header=args.skip_header,
-        sample_rate=args.sample_rate,
-    )
+    return read_text_signal(args.input, args.column, args.delimiter, args.skip_header, args.sample_rate)
 
 
 def _write_output(out, text: str) -> None:
@@ -148,6 +142,7 @@ def cmd_filter(args) -> int:
     if args.input is None and not args.response:
         raise UsageError("filter needs an input signal or --response")
     try:  # only filtering needs an alignment shift: a rate with none raises before the input is read
+        check_column(args.column)
         plan = None if args.input is None else compensation_plan(coeffs, args.sample_rate)[0]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -181,6 +176,7 @@ def cmd_encode(args) -> int:
         deviation = None if args.deviation is None else exp.parse_fraction(args.deviation)
         spec = EncoderSpec(args.method, args.alphabet, deviation)
         check_zero_tol(args.zero_tol)
+        check_column(args.column)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     seq = encode(_read_signal(args), spec, args.zero_tol)

@@ -28,6 +28,7 @@ from .filtering import (
 )
 from .records import (
     DEFAULT_SEGMENT_LENGTH,
+    check_column,
     numbered_rows,
     parse_columns,
     parse_rows,
@@ -127,6 +128,8 @@ _RECORD_ONLY = (
     "sidecar", "format", "channel", "column", "delimiter", "signal_count",
     "sample_rate", "segment_length", "stride", "filter", "grid", "zero_tol",
 )
+# the fields that each record format never reads
+_UNREAD = {"text": ("signal_count",), "212": ("column", "delimiter", "skip_header")}
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,10 @@ class ExperimentConfig:
     Input is either labeled records (``records`` + ``sidecar``) or
     precomputed feature files (``features`` of label,entropy,complexity
     rows); with feature files every record-only field must keep its
-    default, since none of them would apply. Each field is named after
-    the ``run``/``pairs`` flag that sets it, which is also its
-    config-file key for every field but ``features``.
+    default, since none of them would apply, and so must each field that
+    the record format never reads. Each field is named after the
+    ``run``/``pairs`` flag that sets it, which is also its config-file key
+    for every field but ``features``.
     """
 
     records: tuple[str, ...] = ()
@@ -160,11 +164,12 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        defaults = {f.name: f.default for f in fields(self)}
+        changed = lambda names: [name for name in names if getattr(self, name) != defaults[name]]
         if self.features:
             if self.records:
                 raise ValueError("give either record paths or feature files, not both")
-            defaults = {f.name: f.default for f in fields(self)}
-            unused = [name for name in _RECORD_ONLY if getattr(self, name) != defaults[name]]
+            unused = changed(_RECORD_ONLY)
             if unused:
                 raise ValueError(f"feature files take no record settings: {', '.join(unused)}")
         else:
@@ -176,10 +181,14 @@ class ExperimentConfig:
                 raise ValueError("encoder grid is empty")
             if self.format == "text" and self.channel != 0:
                 raise ValueError(f"text records have one channel (0), not {self.channel}")
+            unread = changed(_UNREAD.get(self.format, ()))
+            if unread:
+                raise ValueError(f"{self.format} records take no {', '.join(unread)}")
         if self.format not in ("text", "212"):
             raise ValueError("format must be 'text' or '212'")
         if self.channel < 0:
             raise ValueError("channel must be non-negative")
+        check_column(self.column)
         if self.signal_count < 1:
             raise ValueError("signal_count must be at least 1")
         if self.sample_rate <= 0:

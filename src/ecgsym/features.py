@@ -121,32 +121,19 @@ def lz_complexity(seq) -> int:
 
     Scanning from the left, the current phrase is extended while it can
     be copied from somewhere in the sequence strictly before the phrase's
-    last symbol (the copy window may overlap the phrase being built); the
+    last symbol (the copy may overlap the phrase being built); the
     first non-copyable extension closes the phrase. A trailing phrase cut
     short by the end of the sequence counts as one.
 
     Rows of codes below 4 are counted by the compiled suffix-automaton
-    kernel of ``_lz.c`` (:func:`_lz_kernel`). Where it cannot be built, and
-    for a row with a larger code, the Python parse below gives the same
-    count.
+    kernel of ``_lz.c`` (:func:`_lz_kernel`); where it cannot be built, and
+    for larger codes, the Python parse below gives the same count.
 
-    The parse carries ``p``, the earliest start of a copy of the current
-    phrase, which starts at ``m``. Every copy of a word is also a copy of
-    its prefix, so the earliest copy never moves left as the phrase grows:
-    if the symbol after the copy at ``p`` equals the next phrase symbol,
-    ``p`` stays the earliest copy and the phrase extends without a search;
-    otherwise the search resumes at ``p + 1``. A new phrase starts with
-    ``p = 0``, since the empty prefix occurs everywhere before it. The loop
-    keeps ``p`` as the distance ``d = m - p`` back to the copy and the
-    phrase's extent as ``i``, the position of the next phrase symbol.
-
-    The extension compares eight symbols at a time: ``win[j]`` holds
-    ``s[j : j + 8]`` as one big-endian integer (zero bytes past the end),
-    so ``win[i - d] ^ win[i]`` is 0 when the next eight symbols of copy and
-    phrase agree, and otherwise its leading zero bytes count the symbols
-    that agree before the first that differs. Past the end of the sequence
-    the padding may agree or differ; either way ``i`` then runs past the
-    end, which ends the parse with the trailing phrase open.
+    The parse tries the word ``s[m : m + k]`` against ``p``, the earliest
+    copy of all but its last symbol. A copy of a word is a copy of its
+    prefix, so the earliest copy never moves left as the word grows: only
+    where the copy at ``p`` does not go on with the word's last symbol does
+    the search resume, at ``p + 1``; the phrase closes when no copy is left.
     """
     codes = _as_symbols(seq)
     if codes.ndim != 1:
@@ -156,28 +143,16 @@ def lz_complexity(seq) -> int:
     kernel = _lz_kernel()
     if kernel is not None and (count := kernel(s, n)) >= 0:
         return count
-    win = np.ndarray((n,), ">u8", s + bytes(7), 0, (1,)).tolist()
     # the first symbol has nothing before it to copy, so it is a phrase alone
-    count, m, i, d = 1, 1, 1, 1
-    while i < n:
-        x = win[i - d] ^ win[i]
-        if x == 0:
-            i += 8
-            continue
-        i += (64 - x.bit_length()) >> 3
-        if i >= n:
-            break
-        p = s.find(s[m : i + 1], m - d + 1, i)
+    count, m, k, p = 1, 1, 1, 0
+    while m + k <= n:
+        if s[p + k - 1] != s[m + k - 1]:
+            p = s.find(s[m : m + k], p + 1, m + k - 1)
         if p != -1:
-            d = m - p
-            i += 1
+            k += 1
         else:
-            count += 1
-            m = i + 1
-            i, d = m, m
-    if i > m:
-        count += 1
-    return count
+            count, m, k, p = count + 1, m + k, 1, 0
+    return count + (k > 1)  # the trailing phrase, if the end cut it short
 
 
 def _log_base(alpha: int, x: float) -> float:

@@ -29,12 +29,15 @@ def parse_format212(data: bytes, signal_count: int = 2) -> list[np.ndarray]:
     byte extends the first byte, the high nibble extends the third.
     Values are 12-bit two's complement, so the result lies in
     [-2048, 2047]. Consecutive samples cycle through the declared
-    signals in order.
+    signals in order; a stream too short to hold one sample of each
+    raises before any is unpacked.
     """
     if signal_count < 1:
         raise ValueError("signal_count must be at least 1")
     if len(data) % 3 != 0:
         raise ValueError("truncated format-212 stream: length not divisible by 3")
+    if 2 * len(data) // 3 < signal_count:
+        raise ValueError("no samples")
     raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
     first = ((raw[:, 1] & 0x0F) << 8) | raw[:, 0]
     second = ((raw[:, 1] & 0xF0) << 4) | raw[:, 2]
@@ -85,9 +88,13 @@ def read_binary_record(
         channels = parse_format212(data, signal_count)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if channels[0].size == 0:
-        raise ValueError(f"{path}: no samples")
     return [Signal(ch.astype(float), sample_rate) for ch in channels]
+
+
+def check_column(column: int) -> None:
+    """Raise on a negative column, which numpy would count from a row's end."""
+    if column < 0:
+        raise ValueError("column must be non-negative")
 
 
 def read_rows(path, skip_header: bool = False) -> tuple[str, int]:
@@ -192,6 +199,7 @@ def read_text_signal(
     ``delimiter=None`` splits on any whitespace. Raises with the 1-based
     row number when a row cannot be parsed or holds nan or inf.
     """
+    check_column(column)
     text, first = read_rows(path, skip_header)
     values = parse_columns(text, (column,), delimiter)
     if values is None:

@@ -609,33 +609,35 @@ def test_config_file_filter_off_equals_no_filter_flag(dataset):
 
 def test_every_config_key_builds_what_its_flag_builds(dataset):
     records = [str(dataset / "r1.txt"), str(dataset / "r2.txt")]
-    values = {
+    shared = {
+        "records": " ".join(records),
         "sidecar": str(dataset / "labels.csv"),
-        "format": "212",
-        "channel": "1",
-        "signal_count": "3",
-        "column": "1",
-        "delimiter": ";",
         "sample_rate": "250",
         "segment_length": "600",
         "stride": "300",
+        "filter": "off",
         "grid": str(dataset / "grid.txt"),
         "zero_tol": "0.5",
         "mode": "exists",
         "out": str(dataset / "out"),
     }
-    conf = dataset / "run.conf"
-    conf.write_text(
-        f"records = {' '.join(records)}\nfilter = off\nskip_header = yes\n"
-        + "".join(f"{key} = {value}\n" for key, value in values.items())
-    )
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
-    config = _config(["run", "--config", str(conf)])
-    assert config == _config(["run", *records, "--no-filter", "--skip-header", *flags])
+    switches = {"records": records, "filter": ["--no-filter"], "skip_header": ["--skip-header"]}
+    conf, configs = dataset / "run.conf", []
+    # a 212 record reads no text column and a text record one signal, so each
+    # format's keys go in a file of their own
+    for own in ({"format": "212", "channel": "1", "signal_count": "3"},
+                {"column": "1", "delimiter": ";", "skip_header": "yes"}):
+        values = {**shared, **own}
+        conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        flags = [flag for key, value in values.items()
+                 for flag in switches.get(key, [f"--{key.replace('_', '-')}={value}"])]
+        configs.append(_config(["run", "--config", str(conf)]))
+        assert configs[-1] == _config(["run", *flags])
     # every field but features is a key, and each key moved its field off the default
     default = ExperimentConfig(features=("f.csv",))
     fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "features"]
-    assert [name for name in fields if getattr(config, name) == getattr(default, name)] == []
+    unmoved = [name for name in fields if all(getattr(c, name) == getattr(default, name) for c in configs)]
+    assert unmoved == []
 
 
 def test_feature_run_rejects_record_flags_before_reading(dataset, capsys):
@@ -798,6 +800,12 @@ _BAD_RECORD_FLAGS = [
     (["--channel", "5"], "text records have one channel (0), not 5"),
     (["--format", "212", "--channel", "-1"], "channel must be non-negative"),
     (["--format", "212", "--signal-count", "0"], "signal_count must be at least 1"),
+    (["--column", "-1"], "column must be non-negative"),
+    # a setting the record format never reads, named in the message
+    (["--signal-count", "3"], "text records take no signal_count"),
+    (["--format", "212", "--column", "1"], "212 records take no column"),
+    (["--format", "212", "--delimiter", ","], "212 records take no delimiter"),
+    (["--format", "212", "--column", "2", "--skip-header"], "212 records take no column, skip_header"),
 ]
 # the pads follow from the filter and the sample rate, so no flag sets them:
 # a command that still gives one is a usage error before any work
@@ -859,7 +867,8 @@ def test_negative_ternary_deviation_in_grid_is_usage_error_before_any_work(datas
     [
         pytest.param(flags, message, id=" ".join(flags))
         for flags, message in _REMOVED_PAD_FLAGS + _BAD_RATE_FLAGS
-        + [(["--sample-rate", "0"], "sample_rate must be positive")]
+        + [(["--sample-rate", "0"], "sample_rate must be positive"),
+           (["--delimiter", ",", "--column", "-3"], "column must be non-negative")]
     ],
 )
 def test_filter_bad_value_is_usage_error_before_reading(tmp_path, capsys, flags, message):
@@ -875,6 +884,36 @@ def test_encode_negative_ternary_deviation_is_usage_error_before_reading(tmp_pat
     assert code == 1
     err = capsys.readouterr().err
     assert "usage error: ternary threshold requires non-negative deviation" in err
+
+
+def test_encode_negative_column_is_usage_error_before_reading(tmp_path, capsys, monkeypatch):
+    # numpy counts a negative column from each row's end: here 2, then 3
+    (tmp_path / "ragged.txt").write_text("1 2\n3\n")
+    monkeypatch.setattr("ecgsym.cli.read_text_signal", None)  # calling it fails the test
+    code = main(["encode", str(tmp_path / "ragged.txt"), "--method", "slope", "--alphabet", "2",
+                 "--column", "-1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "usage error: column must be non-negative\n")
+
+
+@pytest.mark.parametrize(
+    "command, keys, message",
+    [
+        pytest.param(cmd, keys, message, id=f"{cmd} {keys}".replace("\n", "; "))
+        for cmd in ("run", "pairs")
+        for keys, message in [
+            ("column = -1", "column must be non-negative"),
+            ("format = 212\nskip_header = yes", "212 records take no skip_header"),
+            ("signal_count = 1", "text records take no signal_count"),
+        ]
+    ],
+)
+def test_record_config_key_is_usage_error_before_any_work(dataset, capsys, no_work, command, keys, message):
+    (dataset / "run.conf").write_text(keys + "\n")
+    code = main([command, str(dataset / "r1.txt"), "--sidecar", str(dataset / "labels.csv"),
+                 "--config", str(dataset / "run.conf")])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

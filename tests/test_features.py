@@ -162,13 +162,13 @@ def test_lz_matches_oracle_on_long_runs(runs):
     assert lz(ternary(values)) == lz_count(values)
 
 
-# lengths 1-40 cross the edge of the parse's 8-symbol windows several times
+# rows up to 40 symbols, short enough for the literal oracle as well
 any_bytes = st.binary(min_size=1, max_size=40)
 few_symbol_bytes = st.integers(1, 3).flatmap(
     lambda a: st.lists(st.integers(0, a - 1), min_size=1, max_size=40).map(bytes)
 )
-# a periodic row, its last copy running up to and past a window edge,
-# then a run of the zero byte the windows are padded with (maybe none)
+# a periodic row, its last copy running up to the end of the period, then a
+# run of zero bytes (maybe none) that each copy the one before them
 periodic_zero_tails = st.builds(
     lambda head, reps, zeros: head * reps + bytes(zeros),
     st.binary(min_size=1, max_size=12),
@@ -178,7 +178,7 @@ periodic_zero_tails = st.builds(
 
 
 @given(st.one_of(any_bytes, few_symbol_bytes, periodic_zero_tails))
-@example(b"\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00")  # ends in the window's pad byte
+@example(b"\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00")  # ends in a copy that overlaps itself up to the end
 @example(b"\x00\x01" + bytes(17))
 @example(b"\x02\x01" * 20)  # a periodic row whose last copy runs to the end
 @example(b"\x00\x01\x02" * 13)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_record_header_validation(tmp_path):
         read_binary_record(path, sample_rate=-1)
 
 
+def test_signal_count_beyond_the_samples_costs_no_memory(tmp_path):
+    # three samples a signal: a million declared signals have none, and no
+    # million empty channels are built to find that out
+    path = tmp_path / "rec.dat"
+    path.write_bytes(pack_format212([[10, 20, 30], [-1, -2, -3]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no samples$"):
+            read_binary_record(path, signal_count=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 # --- text signals -------------------------------------------------------------------
 
 def test_read_text_signal_column(tmp_path):
@@ -103,6 +119,12 @@ def test_read_text_signal_column(tmp_path):
     signal = read_text_signal(path)
     np.testing.assert_array_equal(signal.samples, [0.0, 0.5, 1.0])
     assert signal.sample_rate == 360.0
+
+
+def test_read_text_signal_rejects_negative_column_before_reading(tmp_path):
+    # the file does not exist, so reading it first would report that instead
+    with pytest.raises(ValueError, match="^column must be non-negative$"):
+        read_text_signal(tmp_path / "missing.txt", column=-1)
 
 
 def test_read_text_signal_skips_header(tmp_path):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 from test_digests import DIGESTS
 
+from ecgsym.cli import main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,6 +27,17 @@ def test_synthetic_study_ranks_the_spreads_alike_on_every_seed(tmp_path):
     assert printed.endswith("\nranking stable across 2 seeds: True\n")
 
 
+def digests(group: str, out: Path) -> tuple[dict, dict]:
+    """The digests ``digests.json`` pins under ``group/`` and those of the files in ``out``."""
+    pinned = {
+        key.removeprefix(f"{group}/"): digest
+        for key, digest in json.loads(DIGESTS.read_text()).items()
+        if key.startswith(f"{group}/")
+    }
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    return pinned, written
+
+
 def test_demo_writes_the_pinned_outputs(tmp_path):
     # 5 windows per class at seed 0 is the demo-0-w5 group of digests.json
     printed = run_script(
@@ -32,13 +45,17 @@ def test_demo_writes_the_pinned_outputs(tmp_path):
         "--out", "results", cwd=tmp_path,
     )
     assert "class counts: {'steady': 5, 'erratic': 5}" in printed
-    pinned = {
-        key.removeprefix("demo-0-w5/"): digest
-        for key, digest in json.loads(DIGESTS.read_text()).items()
-        if key.startswith("demo-0-w5/")
-    }
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in (tmp_path / "results").iterdir()
-    }
+    pinned, written = digests("demo-0-w5", tmp_path / "results")
     assert len(written) == 25 and written == pinned
+
+
+def test_demo_prints_the_table_of_ecgsym_run(tmp_path, capsys):
+    # by default 25 windows per class at seed 0: the demo-0 group of digests.json
+    printed = run_script("record_pipeline_demo.py", "--work-dir", "data", "--out", "results", cwd=tmp_path)
+    pinned, written = digests("demo-0", tmp_path / "results")
+    assert len(written) == 25 and written == pinned
+    data = tmp_path / "data"
+    records = [str(data / "steady_rec.dat"), str(data / "erratic_rec.dat")]
+    assert main(["run", *records, "--sidecar", str(data / "labels.csv"), "--format", "212"]) == 0
+    table = capsys.readouterr().out
+    assert printed.startswith(table) and printed[len(table) :].startswith("\nclass counts: ")
