@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from ecgsym.experiment import ExperimentConfig, overlap_table_text, run_experiment
+from ecgsym.experiment import ExperimentConfig, ranking_table_text, run_experiment
 from ecgsym.records import pack_format212
 
 FS = 360.0
@@ -72,10 +72,7 @@ def main() -> int:
     )
     result = run_experiment(config)
 
-    # the table `ecgsym run` prints
-    ranked = [result.entries[idx] for idx in result.ranking]
-    rows = ((rank, e.label, e.report.overlap_per_element) for rank, e in enumerate(ranked, start=1))
-    print(overlap_table_text("rank", 5, rows), end="")
+    print(ranking_table_text(result), end="")  # the table `ecgsym run` prints
     print(f"\nclass counts: {result.class_counts}")
     print(f"reports and scatter files: {args.out}/")
     return 0

@@ -34,7 +34,6 @@ from .filtering import (
     PaddingPlan,
     Signal,
     alignment_delay,
-    apply_filter,
     compensation_plan,
     filter_compensated,
     frequency_response,

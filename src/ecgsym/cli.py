@@ -146,6 +146,8 @@ def cmd_filter(args) -> int:
         plan = None if args.input is None else compensation_plan(coeffs, args.sample_rate)[0]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # the input is read and filtered first, so an input that fails leaves no response file
+    out = None if args.input is None else filter_compensated(coeffs, _read_signal(args), plan)
     if args.response:
         freqs = np.linspace(1e-3, args.sample_rate / 2 - 1e-3, 512)
         h = frequency_response(coeffs, 2.0 * math.pi * freqs / args.sample_rate)
@@ -155,8 +157,7 @@ def cmd_filter(args) -> int:
         ]
         write_text(args.response, "\n".join(lines) + "\n")
         print(f"response written to {args.response}")
-    if args.input is not None:
-        out = filter_compensated(coeffs, _read_signal(args), plan)
+    if out is not None:
         _write_output(args.out, "\n".join(repr(float(v)) for v in out.samples) + "\n")
     return 0
 
@@ -249,7 +250,8 @@ def _config_from_args(args) -> exp.ExperimentConfig:
     dests are ExperimentConfig fields (all of them for run and pairs); the
     file's keys are the same names except ``features``, and each value is
     cast like its flag's argument. A flag that differs from its default
-    overrides the file. Any error in the flags or the file is a usage error.
+    overrides the file. Any error in the flags or the file is a usage error,
+    and so is a record run's segment length too short for a grid entry.
     """
     fields = {field.name for field in dataclasses.fields(exp.ExperimentConfig)}
     flags = {a.dest: a for a in args.parser._actions if a.dest in fields}
@@ -270,19 +272,19 @@ def _config_from_args(args) -> exp.ExperimentConfig:
         )
         if "grid" in values and not values.get("features"):  # with features it is rejected unread
             values["grid"] = exp.parse_grid_file(values["grid"])
-        return exp.ExperimentConfig(
+        config = exp.ExperimentConfig(
             **{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
         )
+        if "grid" in flags and config.records:  # ingest encodes nothing: any segment length will do
+            exp._check_grid_lengths(config)
+        return config
     except (ValueError, OSError) as exc:
         raise UsageError(_error_text(exc)) from None
 
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    result = exp.run_experiment(config)
-    ranked = [result.entries[idx] for idx in result.ranking]
-    rows = ((rank, e.label, e.report.overlap_per_element) for rank, e in enumerate(ranked, start=1))
-    print(exp.overlap_table_text("rank", 5, rows), end="")
+    print(exp.ranking_table_text(exp.run_experiment(config)), end="")
     if config.out:
         print(f"reports and scatter data written to {config.out}")
     return 0

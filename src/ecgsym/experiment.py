@@ -98,11 +98,11 @@ def parse_grid_file(path) -> list[EncoderSpec]:
     return grid
 
 
-def load_config_file(path, keys=None) -> dict[str, str]:
+def load_config_file(path, keys) -> dict[str, str]:
     """Read a flat 'key = value' file; ``#`` starts a comment anywhere in a row.
 
-    With ``keys`` given, a key outside it raises with its row number; a
-    repeated key raises with both row numbers.
+    A key outside ``keys`` raises with its row number; a repeated key
+    raises with both row numbers.
     """
     values: dict[str, str] = {}
     rows: dict[str, int] = {}
@@ -114,7 +114,7 @@ def load_config_file(path, keys=None) -> dict[str, str]:
             raise ValueError(f"{path}: row {row_no} is not 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if keys is not None and key not in keys:
+        if key not in keys:
             raise ValueError(f"{path}: row {row_no}: unknown key {key!r}")
         if key in rows:
             raise ValueError(f"{path}: row {row_no}: key {key!r} repeats row {rows[key]}")
@@ -235,10 +235,6 @@ class ExperimentResult:
     class_counts: dict[str, int]
     skipped_windows: int = 0
     dropped_partials: int = 0
-
-    @property
-    def best(self) -> EncoderRun:
-        return self.entries[self.ranking[0]]
 
 
 def rank_entries(entries: list[EncoderRun]) -> list[int]:
@@ -436,6 +432,13 @@ def overlap_table_text(head: str, width: int, rows) -> str:
     rows = [(head, "encoder", "overlap_per_element"), *((str(k), e, f"{v:.6f}") for k, e, v in rows)]
     w0, w1 = (max(least, *(len(row[c]) for row in rows)) for c, least in enumerate((width, 28)))
     return "".join(f"{k:<{w0}} {e:<{w1}} {v:>20}\n" for k, e, v in rows)
+
+
+def ranking_table_text(result: ExperimentResult) -> str:
+    """The grid entries in ``result.ranking`` order under ranks 1, 2, ..."""
+    ranked = (result.entries[idx] for idx in result.ranking)
+    rows = ((rank, e.label, e.report.overlap_per_element) for rank, e in enumerate(ranked, start=1))
+    return overlap_table_text("rank", 5, rows)
 
 
 def pair_table_text(table: list[PairRow]) -> str:

@@ -54,11 +54,9 @@ def shannon_entropy(seq) -> float:
     never occur contribute nothing.
     """
     codes = _as_symbols(seq)
-    rows, k = codes.reshape(-1, codes.shape[-1]), int(codes.max()) + 1
-    # one bincount, each row's codes offset into a block of its own
-    blocks = rows + k * np.arange(len(rows))[:, None]
-    counts = np.bincount(blocks.ravel(), minlength=k * len(rows))
-    p = counts.reshape(codes.shape[:-1] + (k,)) / codes.shape[-1]
+    # each row's count of each code, the codes along the last axis
+    counts = [np.count_nonzero(codes == c, axis=-1) for c in range(int(codes.max()) + 1)]
+    p = np.stack(counts, axis=-1) / codes.shape[-1]
     # log2 only where p > 0, so an absent symbol adds an exact 0.0
     plogp = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
     # 0.0 - x rather than -x, so a constant row gives +0.0, not -0.0

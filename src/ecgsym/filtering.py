@@ -152,26 +152,6 @@ def make_bandpass() -> FilterCoefficients:
     return FilterCoefficients(np.convolve(b_low, b_high), np.convolve(a_low, a_high))
 
 
-def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
-    """Filter each row: lead it with ``taps.size - 1`` zeros, convolve the
-    stack once with the taps, drop the lead and divide.
-
-    Rows must be non-empty. Sample references before the start of a row
-    read as the zeros of its lead, so the output has the shape and sample
-    rate of the input. For integer taps (every stock filter) with
-    integer-valued input and max|x| * sum|taps| < 2**53, every partial sum
-    is an exact integer K, so each output is the correctly rounded
-    K / divisor.
-    """
-    x = signal.samples
-    if x.size == 0:
-        raise ValueError("empty signal")
-    history = coeffs.taps.size - 1
-    led = np.pad(np.atleast_2d(x), ((0, 0), (history, 0)))
-    y = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)
-    return Signal((y[:, history:] / coeffs.divisor).reshape(x.shape), signal.sample_rate)
-
-
 def _poly_sums(c: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P = sum c_n e^{-j omega n} and P' = sum n c_n e^{-j omega n} at each omega.
 

@@ -4,11 +4,14 @@ Kept deliberately naive and structurally different from the library code
 so they can serve as oracles: phrase parsing by literal reproducibility
 scans over tuples, entropy by counter arithmetic, overlap counting by
 plain loops, symbols by one comparison per sample, and text files read
-one row per loop step. Two exceptions to "naive": :func:`lz_count_resumed`,
+one row per loop step. Three exceptions to "naive": :func:`lz_count_resumed`,
 the one-symbol-a-step resumed-match parse, fast enough for full-length
-encoded rows; and :func:`at_least_as_far`, the library's earlier (N, m)
-distance table, built a centroid column at a time, kept as it was to
-check the table that replaced it on tie-heavy data.
+encoded rows; :func:`apply_filter`, the library's earlier uncompensated
+filter (a zero lead and one convolution of the stack), the reference
+that compensated filtering is checked against; and
+:func:`at_least_as_far`, the library's earlier (N, m) distance table,
+built a centroid column at a time, kept as it was to check the table
+that replaced it on tie-heavy data.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections import Counter
 import numpy as np
 
 from ecgsym.distribution import centroid
+from ecgsym.filtering import FilterCoefficients, Signal
 
 
 def lz_phrases(symbols) -> list[tuple]:
@@ -73,6 +77,26 @@ def lz_count_resumed(s: bytes) -> int:
     if k > 1:
         count += 1
     return count
+
+
+def apply_filter(coeffs: FilterCoefficients, signal: Signal) -> Signal:
+    """Filter each row: lead it with ``taps.size - 1`` zeros, convolve the
+    stack once with the taps, drop the lead and divide.
+
+    Rows must be non-empty. Sample references before the start of a row
+    read as the zeros of its lead, so the output has the shape and sample
+    rate of the input. For integer taps (every stock filter) with
+    integer-valued input and max|x| * sum|taps| < 2**53, every partial sum
+    is an exact integer K, so each output is the correctly rounded
+    K / divisor.
+    """
+    x = signal.samples
+    if x.size == 0:
+        raise ValueError("empty signal")
+    history = coeffs.taps.size - 1
+    led = np.pad(np.atleast_2d(x), ((0, 0), (history, 0)))
+    y = np.convolve(led.ravel(), coeffs.taps)[: led.size].reshape(led.shape)
+    return Signal((y[:, history:] / coeffs.divisor).reshape(x.shape), signal.sample_rate)
 
 
 def encode_symbols(rows, method, alphabet_size, deviation=None, zero_tol=0.0) -> list[list[int]]:

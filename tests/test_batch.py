@@ -12,8 +12,9 @@ import ecgsym.filtering as filtering
 from ecgsym.encoding import EncoderSpec, SymbolSequence, encode
 from ecgsym.experiment import default_encoder_grid, run_experiment
 from ecgsym.features import extract_features, lz_complexity, shannon_entropy
-from ecgsym.filtering import Signal, apply_filter, filter_compensated, make_bandpass
+from ecgsym.filtering import Signal, filter_compensated, make_bandpass
 
+from oracles import apply_filter
 from record_pipeline_demo import build_dataset
 
 # integer rows like 212 samples, and non-integer rows with repeated values

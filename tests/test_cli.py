@@ -234,6 +234,16 @@ def test_filter_response_needs_no_alignment_shift(tmp_path, capsys, kind, rate):
     assert not resp.exists()
 
 
+@pytest.mark.parametrize("rows", [None, "1.0\n2.0\nx\n3.0\n"], ids=["missing", "bad-row"])
+def test_filter_input_that_fails_leaves_no_response(tmp_path, capsys, rows):
+    sig, resp = tmp_path / "sig.txt", tmp_path / "r.csv"
+    if rows is not None:
+        sig.write_text(rows)
+    assert main(["filter", str(sig), "--response", str(resp)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not resp.exists()
+
+
 def test_encode_and_features_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(3)
     write_signal(tmp_path / "sig.txt", rng.normal(0, 1, 800))
@@ -249,20 +259,6 @@ def test_encode_and_features_round_trip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "entropy_norm" in out and "complexity_norm" in out
-
-
-def test_encode_threshold_without_deviation_is_usage_error(tmp_path):
-    write_signal(tmp_path / "sig.txt", [0.0, 1.0, 2.0])
-    code = main(["encode", str(tmp_path / "sig.txt"), "--method", "threshold", "--alphabet", "2"])
-    assert code == 1
-
-
-def test_encode_zero_denominator_deviation_is_usage_error(tmp_path, capsys):
-    write_signal(tmp_path / "sig.txt", [0.0, 1.0, 2.0])
-    code = main(["encode", str(tmp_path / "sig.txt"), "--method", "threshold",
-                 "--alphabet", "2", "--deviation", "1/0"])
-    assert code == 1
-    assert "zero denominator in '1/0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -446,6 +442,15 @@ def test_ingest_takes_a_rate_the_band_pass_cannot_align_at(dataset, capsys):
         assert code == 0
         assert capsys.readouterr().out.endswith("total: 4 segments, 0 unlabeled windows skipped, "
                                                 "0 trailing partial windows dropped\n")
+
+
+def test_ingest_takes_a_segment_length_too_short_for_the_grid(dataset, capsys):
+    # ingest encodes nothing, so no grid entry bounds the segment length
+    code = main(["ingest", str(dataset / "r1.txt"), str(dataset / "r2.txt"),
+                 "--sidecar", str(dataset / "labels.csv"), "--segment-length", "300"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("total: 8 segments, 0 unlabeled windows skipped, "
+                                            "2 trailing partial windows dropped\n")
 
 
 def test_run_end_to_end(dataset, capsys):
@@ -820,10 +825,15 @@ _BAD_RATE_FLAGS = [
     (["--sample-rate", "48"], "phase undefined at omega=1.047"),
     (["--sample-rate", "16"], "omega must lie strictly between 0 and pi"),
 ]
+# a segment length that gives the first grid entry too few symbols
+_SHORT_SEGMENT = (
+    "grid entry slope-binary: segment length 300 yields sequences of length 299, "
+    "below the minimum valid length 361 for alphabet size 2"
+)
 _BAD_RUN_FLAGS = _REMOVED_PAD_FLAGS + _BAD_RATE_FLAGS + [
     (["--zero-tol", value], "zero_tol must be finite and non-negative")
     for value in ("nan", "inf", "-1")
-]
+] + [(["--segment-length", "300"], _SHORT_SEGMENT)]
 
 
 @pytest.mark.parametrize(
@@ -877,23 +887,29 @@ def test_filter_bad_value_is_usage_error_before_reading(tmp_path, capsys, flags,
     assert message in capsys.readouterr().err
 
 
-def test_encode_negative_ternary_deviation_is_usage_error_before_reading(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--method", "threshold", "--alphabet", "2"],
+                     "threshold encoding requires a deviation", id="no-deviation"),
+        pytest.param(["--method", "threshold", "--alphabet", "2", "--deviation", "1/0"],
+                     "zero denominator in '1/0'", id="deviation=1/0"),
+        pytest.param(["--method", "threshold", "--alphabet", "3", "--deviation=-1/20"],
+                     "ternary threshold requires non-negative deviation", id="ternary-deviation=-1/20"),
+        # numpy would count a negative column from each row's end
+        pytest.param(["--method", "slope", "--alphabet", "2", "--column", "-1"],
+                     "column must be non-negative", id="column=-1"),
+    ]
+    + [
+        pytest.param(["--method", "slope", "--alphabet", "2", "--zero-tol", value],
+                     f"zero_tol must be finite and non-negative, not {float(value)!r}", id=f"zero-tol={value}")
+        for value in ("nan", "inf", "-1")
+    ],
+)
+def test_encode_bad_value_is_usage_error_before_reading(tmp_path, capsys, flags, message):
     # the input does not exist, so reading it first would report that instead
-    code = main(["encode", str(tmp_path / "missing.txt"), "--method", "threshold",
-                 "--alphabet", "3", "--deviation=-1/20"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "usage error: ternary threshold requires non-negative deviation" in err
-
-
-def test_encode_negative_column_is_usage_error_before_reading(tmp_path, capsys, monkeypatch):
-    # numpy counts a negative column from each row's end: here 2, then 3
-    (tmp_path / "ragged.txt").write_text("1 2\n3\n")
-    monkeypatch.setattr("ecgsym.cli.read_text_signal", None)  # calling it fails the test
-    code = main(["encode", str(tmp_path / "ragged.txt"), "--method", "slope", "--alphabet", "2",
-                 "--column", "-1"])
-    assert code == 1
-    assert capsys.readouterr() == ("", "usage error: column must be non-negative\n")
+    assert main(["encode", str(tmp_path / "missing.txt"), *flags]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -905,6 +921,7 @@ def test_encode_negative_column_is_usage_error_before_reading(tmp_path, capsys, 
             ("column = -1", "column must be non-negative"),
             ("format = 212\nskip_header = yes", "212 records take no skip_header"),
             ("signal_count = 1", "text records take no signal_count"),
+            ("segment_length = 300", _SHORT_SEGMENT),
         ]
     ],
 )
@@ -914,14 +931,6 @@ def test_record_config_key_is_usage_error_before_any_work(dataset, capsys, no_wo
                  "--config", str(dataset / "run.conf")])
     assert code == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_encode_bad_zero_tol_is_usage_error_before_reading(tmp_path, capsys, value):
-    code = main(["encode", str(tmp_path / "missing.txt"), "--method", "slope",
-                 "--alphabet", "2", "--zero-tol", value])
-    assert code == 1
-    assert "zero_tol must be finite and non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

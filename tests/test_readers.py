@@ -197,7 +197,8 @@ def test_rows_are_counted_on_newlines_only(path, capsys):
 
     for read, rows, message in [
         (read_label_sidecar, ["r,0,1,a", "r,1,2,a", "\x0cr,2,3,a\x0c", "r,0"], "row 4 needs 4 fields"),
-        (load_config_file, ["mode = forall", "stride = 1", "\x0c# note", "no key"], "row 4 is not 'key"),
+        (lambda p: load_config_file(p, {"mode", "stride"}), ["mode = forall", "stride = 1", "\x0c# note", "no key"],
+         "row 4 is not 'key"),
         (parse_grid_file, ["slope binary", "slope 3", "\x0c# note", "slope x"], "row 4: unknown alphabet"),
     ]:
         write(rows)
@@ -236,7 +237,8 @@ def as_plain(value):
         pytest.param(load_features_csv, "a,0.1,0.2\nb,0.3,0.4\n", id="feature-file"),
         pytest.param(read_label_sidecar, "rec,0,720,Normal\n# note\n", id="sidecar"),
         pytest.param(parse_grid_file, "slope binary\nthreshold 3 1/12\n", id="grid-file"),
-        pytest.param(load_config_file, "mode = exists\nstride = 180\n", id="config-file"),
+        pytest.param(lambda p: load_config_file(p, {"mode", "stride"}), "mode = exists\nstride = 180\n",
+                     id="config-file"),
         pytest.param(symbol_features, "0\n1\n1\n0\n", id="symbol-file"),
     ],
 )
