@@ -247,20 +247,20 @@ def load_features_csv(path, skip_header: bool = False):
     row i has label ``names[codes[i]]`` (names in first-appearance order)
     and point ``points[i]`` of an (N, 2) array.
 
-    Both numeric columns are parsed in one pass (:func:`parse_columns`).
-    Where it succeeds with two commas a row, a file whose rows all hold
-    the first row's raw label is one class; any other codes each row's
-    label, stripped. Otherwise the rows are read one at a time, to name
-    the first bad row or to take a literal that numpy rejects.
+    Both numeric columns are parsed in one compiled pass
+    (:func:`parse_columns`), which takes only rows of three fields. Where
+    it succeeds, a file whose rows all hold the first row's raw label is
+    one class; any other codes each row's label, stripped. Otherwise the
+    rows are read one at a time, to name the first bad row or to take a
+    literal that the pass refuses.
     """
     text, first = read_rows(path, skip_header)
-    points = parse_columns(text, (1, 2), ",")
-    # numpy parsed two columns of each row and skips only empty rows
-    if points is not None and text.count(",") == 2 * len(points):
+    points = parse_columns(text, (1, 2), ",", fields=3)
+    if points is not None:
         head = text[: text.index(",")]  # each match below starts a later row labeled head
         if "\n" not in head and text.count(f"\n{head},") == len(points) - 1:
             return np.zeros(len(points), dtype=np.intp), (head.strip(),), points
-        labels = (row[: row.index(",")].strip() for row in text.split("\n") if row)
+        labels = (row[: row.index(",")].strip() for _, row in numbered_rows(text, first))
         return (*code_labels(labels), points)
     rows, points = parse_rows(path, text, first, (1, 2), ",", fields=3)
     if not rows:

@@ -11,6 +11,7 @@ per-row values, each bit for bit that of the row alone.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,46 +73,13 @@ def shannon_entropy_normalized(seq: SymbolSequence) -> float:
     return shannon_entropy(seq) / math.log2(seq.alphabet_size)
 
 
-def _build_lz(source: Path):
-    """``lz_row`` of the C file ``source``, compiled on first use into
-    ``__pycache__/_lz-<sha256 of the source>.so`` beside it and loaded
-    through ctypes; None when there is no compiler, the compile fails, or
-    the library cannot be written or loaded.
-
-    The compiler writes a temporary file that ``os.replace`` moves into
-    place, so concurrent first uses never load a partly written library.
-    """
-    import ctypes
-    import hashlib
-    import os
-    import subprocess
-    import tempfile
-
-    try:
-        digest = hashlib.sha256(source.read_bytes()).hexdigest()
-        lib = source.parent / "__pycache__" / f"_lz-{digest}.so"
-        if not lib.exists():
-            lib.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".so", "_lz-", lib.parent)
-            os.close(fd)
-            try:
-                command = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(source)]
-                subprocess.run(command, check=True, capture_output=True)
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).lz_row
-    except (OSError, subprocess.SubprocessError):
-        return None
-    kernel.argtypes, kernel.restype = (ctypes.c_char_p, ctypes.c_long), ctypes.c_long
-    return kernel
-
-
 @lru_cache(maxsize=None)
 def _lz_kernel():
-    """The compiled phrase counter of ``_lz.c``, built at the first call, or None."""
-    return _build_lz(Path(__file__).with_name("_lz.c"))
+    """``lz_row`` of ``_lz.c``, built at the first call (:func:`_native.build`), or None."""
+    from ._native import build
+
+    source = Path(__file__).with_name("_lz.c")
+    return build(source, "lz_row", ctypes.c_long, ctypes.c_char_p, ctypes.c_long)
 
 
 def lz_complexity(seq) -> int:

@@ -10,9 +10,10 @@ every record into one array, one row per window. Every text file is read
 
 from __future__ import annotations
 
-import io
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ def read_binary_record(
 
 
 def check_column(column: int) -> None:
-    """Raise on a negative column, which numpy would count from a row's end."""
+    """Raise on a negative column, which indexing would count from a row's end."""
     if column < 0:
         raise ValueError("column must be non-negative")
 
@@ -130,32 +131,45 @@ def numbered_rows(text: str, first: int):
             yield row_no, line
 
 
-def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = None):
-    """The given columns of the non-blank rows of ``text`` as an (N, k)
-    float array in one numpy pass, or None when that pass fails or finds
-    nan or inf.
+@lru_cache(maxsize=None)
+def _column_parser():
+    """``parse_columns`` of ``_columns.c``, built at the first call (:func:`_native.build`), or None."""
+    from ._native import build
 
-    Where the pass succeeds each value is what float() gives for its
-    field. The pass is not tried where numpy and ``str.split`` could cut a
-    row differently (a delimiter that is whitespace or longer than one
-    character), nor on text holding one of the separators ``\\x1c`` to
-    ``\\x1f``, which numpy strips around a number and float() rejects. On
-    None, callers read the rows one at a time: to name the first bad row,
-    or to take a literal that float() accepts and numpy rejects, such as
-    ``1_0``.
+    c_long = ctypes.c_long
+    return build(
+        Path(__file__).with_name("_columns.c"), "parse_columns", c_long,
+        ctypes.c_char_p, c_long, ctypes.c_int, ctypes.POINTER(c_long), c_long, c_long, ctypes.c_void_p, c_long,
+    )
+
+
+def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = None, fields: int | None = None):
+    """The given columns of the non-blank rows of ``text`` as an (N, k)
+    float array in one compiled pass, or None when that pass refuses a row
+    or finds no row.
+
+    Rows are cut and blank rows skipped as :func:`parse_rows` does; with
+    ``fields`` every row must hold exactly that many. Where the pass
+    succeeds each value is what float() gives for its field, bit for bit:
+    the pass reads only plain ASCII decimals (``_columns.c`` gives the
+    grammar), and refuses text holding a control byte other than a tab
+    and, split on whitespace, text holding a non-ASCII byte. It is not
+    tried where the delimiter is whitespace or not one ASCII character,
+    nor where ``_columns.c`` cannot be built. On None, callers read the
+    rows one at a time: to name the first bad row, or to take a literal
+    that float() accepts and the pass refuses, such as ``1_0``, ``inf`` or
+    ``0x1p3``.
     """
-    delimiter = delimiter or None
-    if delimiter is not None and (len(delimiter) != 1 or delimiter.isspace()):
+    parser = _column_parser()
+    if parser is None or (delimiter and (len(delimiter) != 1 or delimiter.isspace() or not delimiter.isascii())):
         return None
-    if not text.strip() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
-        return None
-    try:
-        values = np.loadtxt(
-            io.StringIO(text), delimiter=delimiter, usecols=columns, comments=None, ndmin=2
-        )
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+    data = text.encode()
+    values = np.empty((data.count(b"\n") + 1, len(columns)))
+    rows = parser(
+        data, len(data), ord(delimiter) if delimiter else -1, (ctypes.c_long * len(columns))(*columns),
+        len(columns), fields or 0, values.ctypes.data, len(values),
+    )
+    return values[:rows] if rows > 0 else None
 
 
 def parse_rows(path, text: str, first: int, columns: tuple[int, ...], delimiter=None, fields=None):

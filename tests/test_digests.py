@@ -13,11 +13,12 @@ committed one:
 - ``filter/<signal>-<kind>.txt``: ``filter --kind <kind> --out`` of the two
   signals of ``write_filter_signals``, for each of the three kinds.
 
-Each runs once with the compiled LZ kernel, which must load where ``cc`` is
-on PATH, and once with the Python parse. ``digests.json`` is the one store
-of exact output digests. An output that moves must update it:
-``python tests/test_digests.py > tests/digests.json`` rewrites it from the
-same code, and the change must say which files moved and why. The one
+Each runs once with the compiled LZ kernel and column parser, which must
+load where ``cc`` is on PATH, and once with the Python parse and the row
+loop that stand in for them where there is no compiler. ``digests.json``
+is the one store of exact output digests. An output that moves must update
+it: ``python tests/test_digests.py > tests/digests.json`` rewrites it from
+the same code, and the change must say which files moved and why. The one
 exception is ``filter --response``, pinned in ``test_cli.py``: its complex
 ``exp`` and ``angle`` come from libm and are not correctly rounded on every
 host.
@@ -38,6 +39,7 @@ import pytest
 import conftest  # noqa: F401  (puts src/ and scripts/ on the path when run as a script)
 
 import ecgsym.features as features
+import ecgsym.records as records
 from ecgsym.cli import main
 from ecgsym.experiment import ExperimentConfig, run_experiment
 
@@ -100,8 +102,10 @@ def output_digests(root: Path) -> dict[str, str]:
 def test_outputs_match_their_digests(tmp_path, monkeypatch, parse):
     if parse == "python":
         monkeypatch.setattr(features, "_lz_kernel", lambda: None)
+        monkeypatch.setattr(records, "_column_parser", lambda: None)
     elif shutil.which("cc") is not None:
         assert features._lz_kernel() is not None, "cc is on PATH but the LZ kernel did not load"
+        assert records._column_parser() is not None, "cc is on PATH but the column parser did not load"
     digests = output_digests(tmp_path)
     pinned = json.loads(DIGESTS.read_text())
     moved = sorted(name for name in digests.keys() | pinned.keys() if digests.get(name) != pinned.get(name))

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import re
 import shutil
@@ -10,7 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ecgsym.features as features
+import ecgsym.records as records
+from ecgsym._native import build
 from ecgsym.encoding import SymbolSequence
+from ecgsym.experiment import load_features_csv
 from ecgsym.features import (
     FeatureVector,
     epsilon_n,
@@ -21,8 +25,9 @@ from ecgsym.features import (
     shannon_entropy,
     shannon_entropy_normalized,
 )
+from ecgsym.records import read_text_signal
 
-from oracles import entropy_bits, lz_count, lz_count_resumed, lz_phrases
+from oracles import entropy_bits, lz_count, lz_count_resumed, lz_phrases, read_feature_rows, read_text_column
 
 binary_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=120)
 ternary_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=120)
@@ -97,7 +102,7 @@ def lz(seq) -> int:
 def test_kernel_loads_where_a_compiler_is_found():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert features._lz_kernel() is not None
+    assert features._lz_kernel() is not None and records._column_parser() is not None
     # a code above 3 is left to the Python parse
     assert features._lz_kernel()(b"\x00\x04", 2) == -1
     assert lz(b"\x00\x04\x00\x04") == lz_count(b"\x00\x04\x00\x04") == 3
@@ -207,9 +212,14 @@ def test_lz_matches_resumed_parse_on_long_rows(s):
         assert lz(s) == lz_count(s)
 
 
-# --- building the kernel ------------------------------------------------------------
+# --- building the kernels -----------------------------------------------------------
+#
+# One helper builds both compiled files: this module's phrase counter and the
+# column parser of ``records``. A fault leaves each to its Python path.
 
-KERNEL_SOURCE = Path(features.__file__).with_name("_lz.c")
+PACKAGE = Path(features.__file__).parent
+KERNEL_SOURCE = PACKAGE / "_lz.c"
+LZ_ROW = ("lz_row", ctypes.c_long, ctypes.c_char_p, ctypes.c_long)
 CHECK_ROWS = [b"\x00", b"\x01\x00\x00\x01\x00\x01", bytes([0, 1, 2, 3] * 9 + [2] * 30)]
 
 
@@ -226,17 +236,34 @@ def unwritable_cache(monkeypatch, source: Path) -> None:
     (source.parent / "__pycache__").write_bytes(b"")
 
 
+def failed_build(tmp_path: Path, monkeypatch, fault, name: str, symbol: str):
+    """A loader of ``symbol`` from a copy of the package's ``name`` that ``fault``
+    keeps from building; checks that it gives None and leaves no file behind."""
+    source = tmp_path / name.removesuffix(".c") / name
+    source.parent.mkdir()
+    shutil.copy(PACKAGE / name, source)
+    fault(monkeypatch, source)
+    assert build(source, symbol, ctypes.c_long) is None
+    # neither a library nor a temporary file of the compiler's is left behind
+    assert not list(source.parent.rglob(f"{source.stem}-*"))
+    return lambda: build(source, symbol, ctypes.c_long)
+
+
 @pytest.mark.parametrize("fault", [no_compiler, failing_compile, unwritable_cache])
 def test_a_kernel_that_cannot_be_built_leaves_the_python_parse(tmp_path, monkeypatch, fault):
-    source = tmp_path / "_lz.c"
-    shutil.copy(KERNEL_SOURCE, source)
-    fault(monkeypatch, source)
-    assert features._build_lz(source) is None
-    # neither a library nor a temporary file of the compiler's is left behind
-    assert not list(tmp_path.rglob("_lz-*"))
-    monkeypatch.setattr(features, "_lz_kernel", lambda: features._build_lz(source))
+    monkeypatch.setattr(features, "_lz_kernel", failed_build(tmp_path, monkeypatch, fault, "_lz.c", "lz_row"))
     for row in CHECK_ROWS:
         assert lz_complexity(row) == lz_count(row)
+    parser = failed_build(tmp_path, monkeypatch, fault, "_columns.c", "parse_columns")
+    monkeypatch.setattr(records, "_column_parser", parser)
+    assert records.parse_columns("1.5\n", (0,)) is None
+    signal, table = tmp_path / "signal.txt", tmp_path / "features.csv"
+    signal.write_text("1.5 x\n \n-2 y\n1_0 z\n")
+    assert read_text_signal(signal).samples.tolist() == read_text_column(signal) == [1.5, -2.0, 10.0]
+    table.write_text("a,0.5,1e-3\n\nb, -1 ,7\n")
+    codes, names, points = load_features_csv(table)
+    labels, want = read_feature_rows(table)
+    assert [names[c] for c in codes] == labels and points.tolist() == [list(p) for p in want]
 
 
 def test_a_changed_source_is_built_anew(tmp_path):
@@ -244,10 +271,10 @@ def test_a_changed_source_is_built_anew(tmp_path):
         pytest.skip("no C compiler on PATH")
     source = tmp_path / "_lz.c"
     shutil.copy(KERNEL_SOURCE, source)
-    kernel = features._build_lz(source)
+    kernel = build(source, *LZ_ROW)
     assert [kernel(row, len(row)) for row in CHECK_ROWS] == [lz_count(row) for row in CHECK_ROWS]
     source.write_text("long lz_row(const unsigned char *row, long n) { return 7; }\n")
-    assert features._build_lz(source)(CHECK_ROWS[0], 1) == 7
+    assert build(source, *LZ_ROW)(CHECK_ROWS[0], 1) == 7
     # one library per source text, and no temporary file left beside them
     libraries = sorted(p.name for p in (tmp_path / "__pycache__").iterdir())
     assert len(libraries) == 2 and all(re.fullmatch(r"_lz-[0-9a-f]{64}\.so", n) for n in libraries)

@@ -2,13 +2,16 @@
 
 Random files mix blank and whitespace-only rows, CRLF and CR line ends,
 padded fields, short and long rows, nan and inf, and literals that float()
-accepts and numpy rejects (``1_0``). A valid file must give bit-identical
-values and labels; a bad one the same message naming the same row. Every
-text reader drops a leading byte-order mark and numbers its rows alike.
+accepts and the compiled pass refuses (``1_0``). A valid file must give
+bit-identical values and labels; a bad one the same message naming the
+same row. Every text reader drops a leading byte-order mark and numbers its
+rows alike. The compiled pass itself must give the row loop's values bit
+for bit on every field of its grammar, and None on any other.
 """
 
 import contextlib
 import io
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from ecgsym.cli import main
 from ecgsym.experiment import load_config_file, load_features_csv, parse_grid_file
-from ecgsym.records import parse_columns, read_label_sidecar, read_rows, read_text_signal
+from ecgsym.records import parse_columns, parse_rows, read_label_sidecar, read_rows, read_text_signal
 
 from oracles import read_feature_rows, read_text_column
 
@@ -32,6 +35,8 @@ ODD = st.sampled_from(
 PADS = st.sampled_from(["", " ", "\t", "  ", "\x0c", "\xa0"])
 BLANKS = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\u2028"])
 ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+compiled = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def rarely(odd, common, one_in: int):
@@ -141,6 +146,8 @@ def test_text_reader_matches_row_loop(path, case):
     )
 )
 @example((",1,2\n ,3,4\n", False))  # the only label is empty
+@example((" \n c ,0.0,0.0\n", False))  # a whitespace-only row before the first label
+@example(("a,1,2\n\t\na,3,4\n  ", False))  # whitespace-only rows inside and after one class
 def test_feature_reader_matches_row_loop(path, case):
     text, skip_header = case
     path.write_text(text, newline="")
@@ -158,11 +165,13 @@ def test_feature_reader_matches_row_loop(path, case):
         assert got[1] == want[1]
 
 
+@compiled
 def test_plain_files_take_the_one_pass_parse(path):
-    path.write_text("a,0.25,1e-3\n\nb, -1 ,7\n")
+    # rows of only spaces and tabs are skipped, as the row loop skips them
+    path.write_text("a,0.25,1e-3\n\nb, -1 ,7\n  \n\t\n")
     text, first = read_rows(path)
-    np.testing.assert_array_equal(parse_columns(text, (1, 2), ","), [[0.25, 1e-3], [-1.0, 7.0]])
-    path.write_text("x\n1.5 2\n\n-3 4\n")
+    np.testing.assert_array_equal(parse_columns(text, (1, 2), ",", 3), [[0.25, 1e-3], [-1.0, 7.0]])
+    path.write_text("x\n1.5 2\n \t\n-3 4\n")
     text, first = read_rows(path, skip_header=True)
     assert first == 2
     np.testing.assert_array_equal(parse_columns(text, (1,)), [[2.0], [4.0]])
@@ -171,16 +180,107 @@ def test_plain_files_take_the_one_pass_parse(path):
 @pytest.mark.parametrize(
     "text, delimiter",
     [
-        ("1_0\n", None),  # float() reads it, numpy does not
+        ("1_0\n", None),  # float() reads it, the pass does not
         ("nan\n", None),
-        ("1,\x1c2\n", ","),  # numpy strips \x1c around a number, float() does not
-        (" 1 2\n", " "),  # a leading delimiter shifts str.split's columns, not numpy's
+        ("1,\x1c2\n", ","),  # \x1c is a separator to str.split, so the pass refuses every control byte but \t
+        (" 1 2\n", " "),  # a leading delimiter shifts str.split's columns once the row is stripped
         ("1ab2\n", "ab"),
         ("\n \n", None),
     ],
 )
 def test_row_loop_cases_skip_the_one_pass_parse(text, delimiter):
     assert parse_columns(text, (0,), delimiter) is None
+
+
+# --- the compiled pass against the row loop, field by field ------------------------
+
+DIGITS = st.text("0123456789", min_size=1, max_size=30)
+EXPONENTS = st.one_of(
+    st.just(""), st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 400)).map(
+        lambda e: f"{e[0]}{e[1]}{e[2]}"
+    )
+)
+# signed zeros, subnormals and underflow, the largest finite values, and
+# each side of 2^53 and 10^22 (where a mantissa times or over a power of ten
+# would round twice)
+EDGES = st.sampled_from(
+    [
+        "-0", "+.5", "5.", "-0.0e0", "1e-400", "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+        "2.2250738585072011e-308", "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+        "9007199254740992", "9007199254740993", "90071992547409.93", "9007199254740993e1", "1e22", "1e23",
+        "8e-23", "1e-22",
+        "123456789012345678901234567890", "0.000000000000000000000000000001", "1000000000000000000",
+    ]
+)
+
+
+@st.composite
+def decimals(draw):
+    """A field of the grammar the pass reads: [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?"""
+    whole, part = draw(DIGITS), draw(DIGITS)
+    mantissa = draw(st.sampled_from([whole, whole + ".", f"{whole}.{part}", "." + part]))
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa + draw(EXPONENTS)
+
+
+NUMERALS = st.one_of(decimals(), EDGES)
+# fields off the grammar, some of which float() reads
+REFUSED = ["1_0", "inf", "-inf", "nan", "Infinity", "0x1p3", "1e999", "-1e999", "\u0661\u0662", "\xa01", "1\xa0",
+           "1e", "e5", ".", "+", "1.5.", "1e5.0", "--1"]
+COMMA_REFUSED = ["", "1 2"]  # fields only between commas
+
+
+@st.composite
+def tables(draw, refused: bool = False):
+    """(text, delimiter, columns, fields) of rows of one field count, read by
+    ``,`` or by whitespace, with blank rows and padding of spaces and tabs;
+    with ``refused``, one read field of one row is a field the pass refuses."""
+    delimiter = draw(st.sampled_from([",", None]))
+    count = draw(st.integers(1, 4))
+    columns = tuple(draw(st.permutations(range(count)))[: draw(st.integers(1, count))])
+    rows = draw(st.lists(rarely(st.none(), st.lists(NUMERALS, min_size=count, max_size=count), 6), max_size=8))
+    if refused:
+        full = [row for row in rows if row is not None]
+        if not full:
+            full = [draw(st.lists(NUMERALS, min_size=count, max_size=count))]
+            rows.append(full[0])
+        odd = REFUSED + COMMA_REFUSED if delimiter else REFUSED
+        draw(st.sampled_from(full))[draw(st.sampled_from(columns))] = draw(st.sampled_from(odd))
+    pad = st.sampled_from(["", "", " ", "\t", " \t "])
+    gap = st.sampled_from([" ", "\t", "  ", " \t"])
+    lines = []
+    for row in rows:
+        if row is None:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t"])))
+        elif delimiter:
+            lines.append(delimiter.join(draw(pad) + field + draw(pad) for field in row))
+        else:
+            lines.append(draw(pad) + row[0] + "".join(draw(gap) + field for field in row[1:]) + draw(pad))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, delimiter, columns, draw(st.sampled_from([None, count]))
+
+
+@compiled
+@settings(max_examples=300)
+@given(tables())
+@example(("-0\n \n1e-400\n4.9e-324\n", None, (0,), None))
+@example(("a,+,.5\n", ",", (2,), 3))
+@example(("5.,9007199254740993\n\t\n", ",", (0, 1), None))
+def test_the_pass_gives_the_row_loop_values_bit_for_bit(table):
+    text, delimiter, columns, fields = table
+    want = outcome(parse_rows, "p", text, 1, columns, delimiter, fields)
+    got = parse_columns(text, columns, delimiter, fields)
+    if want[0] == "error" or not len(want[1][1]):
+        assert got is None  # a value overflows, or there is no row
+    else:
+        assert got is not None and bits(got) == bits(want[1][1])
+
+
+@compiled
+@settings(max_examples=150)
+@given(tables(refused=True))
+def test_a_field_off_the_grammar_gives_none(table):
+    text, delimiter, columns, fields = table
+    assert parse_columns(text, columns, delimiter, fields) is None
 
 
 def test_rows_are_counted_on_newlines_only(path, capsys):
