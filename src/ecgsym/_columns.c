@@ -1,7 +1,8 @@
 /* The given columns of the non-blank rows of UTF-8 text, as float64, in one
  * pass; a row of only spaces and tabs is blank. Rows end at '\n'. Fields
  * split on one delimiter byte, or on runs of spaces and tabs when the
- * delimiter is -1, as str.split cuts a stripped row.
+ * delimiter is -1, as str.split cuts a stripped row: with a space or tab
+ * delimiter the row's leading and trailing spaces and tabs go first.
  *
  * A field is read only when it must give what Python's float() gives: it
  * matches [ \t]*[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?[ \t]* over ASCII digits D
@@ -12,8 +13,9 @@
  * and must end where the match ends (so a locale whose decimal point is
  * not '.' reads nothing). float() rounds correctly too, so the two agree
  * bit for bit. Every other row is refused whole: one holding a control
- * byte other than '\t', a whitespace-split row holding a non-ASCII byte
- * (either may be a separator to str.split), a row short of a column or,
+ * byte other than '\t', a row split on whitespace or on a space or tab
+ * holding a non-ASCII byte (either may be whitespace to str.split or
+ * str.strip), a row short of a column or,
  * with fields > 0, one not of exactly that many fields. Python's row loop
  * then reads the text and names the bad row.
  *
@@ -111,7 +113,7 @@ long parse_columns(const char *text, long size, int delimiter, const long *colum
             eol = stop;
         for (p = row; p < eol; p++) {
             unsigned char c = *p;
-            if ((c < 0x20 && c != '\t') || (c >= 0x80 && delimiter < 0))
+            if ((c < 0x20 && c != '\t') || (c >= 0x80 && (delimiter < 0 || blank(delimiter))))
                 return -1;
             seen |= !blank(c);
         }
@@ -132,13 +134,20 @@ long parse_columns(const char *text, long size, int delimiter, const long *colum
                     return -1;
             }
         } else {
+            const char *first = row, *last = eol;
+            if (blank(delimiter)) {  /* the row is not blank, so some byte stays */
+                while (blank(*first))
+                    first++;
+                while (blank(last[-1]))
+                    last--;
+            }
             /* a row of n delimiters has n + 1 fields, the last maybe empty */
-            for (p = row;; p = end + 1) {
-                if (!(end = memchr(p, delimiter, eol - p)))
-                    end = eol;
+            for (p = first;; p = end + 1) {
+                if (!(end = memchr(p, delimiter, last - p)))
+                    end = last;
                 if (!take(p, end, field++, columns, k, out + rows * k))
                     return -1;
-                if (end == eol)
+                if (end == last)
                     break;
             }
         }

@@ -8,12 +8,16 @@ aggregate overlap means better-separated classes.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 MODES = ("forall", "exists")
+_LONG = np.dtype(ctypes.c_long)  # the kernel's integer type
 
 
 def code_labels(labels) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -67,6 +71,8 @@ class LabeledFeatureSet:
         within each; a name no row uses is left out."""
         codes = np.asarray(codes, dtype=np.intp)
         points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError("points must be one (N, d) array, a row per label")
         if len(points) != len(codes):
             raise ValueError(f"{len(codes)} labels for {len(points)} points")
         if not len(codes):
@@ -106,26 +112,53 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
+@lru_cache(maxsize=None)
+def _overlap_kernel():
+    """``overlap`` of ``_overlap.c``, built at the first call (:func:`_native.build`), or None."""
+    from ._native import build
+
+    c_long, c_void_p = ctypes.c_long, ctypes.c_void_p
+    return build(
+        Path(__file__).with_name("_overlap.c"), "overlap", c_long,
+        c_void_p, c_long, c_void_p, c_long, c_void_p, ctypes.c_int, c_void_p, c_void_p,
+    )
+
+
 def _overlap_tables(dataset: LabeledFeatureSet, mode: str) -> tuple[list[int], np.ndarray]:
     """Overlapped elements per class, and the (m, m) pair counts.
 
-    Both come from one (m, N) table of every element's distance to every
-    class centroid, a contiguous row per centroid. In "forall" mode an
-    element counts when its own-centroid distance is >= its distance to
-    every other centroid; in "exists" mode one other centroid at most as
-    far away suffices. [a, b] of the pair counts is the number of class-a
-    elements at least as far from their own centroid as from class b's.
+    In "forall" mode an element counts when its own-centroid distance is
+    >= its distance to every other centroid; in "exists" mode one other
+    centroid at most as far away suffices. [a, b] of the pair counts is the
+    number of class-a elements at least as far from their own centroid as
+    from class b's.
+
+    The centroids are :func:`centroid`'s. The compiled kernel of
+    ``_overlap.c`` (:func:`_overlap_kernel`) then takes one element at a
+    time, so no distance table is held. Where it cannot be built, an (m, N)
+    table of every element's distance to every centroid, a contiguous row
+    per centroid, gives the same counts: both compute each distance as the
+    sqrt of 0.0 plus the squared coordinate differences in order.
     """
     _check_mode(mode)
     if len(dataset.names) < 2:
         raise ValueError("need at least two classes")
-    points = dataset.points
+    points = np.ascontiguousarray(dataset.points, dtype=float)
     blocks = list(zip(dataset.starts.tolist(), np.cumsum(dataset.sizes).tolist()))
+    centroids = np.array([centroid(points[lo:hi]) for lo, hi in blocks])
+    kernel = _overlap_kernel()
+    if kernel is not None:
+        m = len(blocks)
+        ends = np.array([hi for _, hi in blocks], dtype=_LONG)
+        hits, pairs = np.zeros(m, dtype=_LONG), np.zeros((m, m), dtype=_LONG)
+        args = points.ctypes.data, points.shape[1], ends.ctypes.data, m, centroids.ctypes.data, mode == "forall"
+        if kernel(*args, hits.ctypes.data, pairs.ctypes.data) == 0:
+            return hits.tolist(), pairs
     dists = np.zeros((len(blocks), len(points)))
     own = np.empty(len(points))
     for j, (lo, hi) in enumerate(blocks):
         # a coordinate at a time, so every temporary is one (N,) row
-        for column, c in zip(points.T, centroid(points[lo:hi])):
+        for column, c in zip(points.T, centroids[j]):
             diff = column - c
             diff *= diff
             dists[j] += diff

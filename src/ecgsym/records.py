@@ -153,15 +153,16 @@ def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = N
     succeeds each value is what float() gives for its field, bit for bit:
     the pass reads only plain ASCII decimals (``_columns.c`` gives the
     grammar), and refuses text holding a control byte other than a tab
-    and, split on whitespace, text holding a non-ASCII byte. It is not
-    tried where the delimiter is whitespace or not one ASCII character,
-    nor where ``_columns.c`` cannot be built. On None, callers read the
-    rows one at a time: to name the first bad row, or to take a literal
-    that float() accepts and the pass refuses, such as ``1_0``, ``inf`` or
-    ``0x1p3``.
+    and, split on whitespace, a space or a tab, text holding a non-ASCII
+    byte. It is not tried where the delimiter is not one ASCII character or
+    is whitespace other than a space or a tab, nor where ``_columns.c``
+    cannot be built. On None, callers read the rows one at a time: to name
+    the first bad row, or to take a literal that float() accepts and the
+    pass refuses, such as ``1_0``, ``inf`` or ``0x1p3``.
     """
     parser = _column_parser()
-    if parser is None or (delimiter and (len(delimiter) != 1 or delimiter.isspace() or not delimiter.isascii())):
+    odd = delimiter and (len(delimiter) != 1 or not delimiter.isascii() or delimiter.isspace() and delimiter not in " \t")
+    if parser is None or odd:
         return None
     data = text.encode()
     values = np.empty((data.count(b"\n") + 1, len(columns)))

@@ -10,8 +10,8 @@ encoded rows; :func:`apply_filter`, the library's earlier uncompensated
 filter (a zero lead and one convolution of the stack), the reference
 that compensated filtering is checked against; and
 :func:`at_least_as_far`, the library's earlier (N, m) distance table,
-built a centroid column at a time, kept as it was to check the table
-that replaced it on tie-heavy data.
+built a centroid column at a time, kept as it was to check the compiled
+overlap kernel and the numpy table that replaced it on tie-heavy data.
 """
 
 from __future__ import annotations

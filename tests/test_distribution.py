@@ -1,11 +1,16 @@
 import math
+import shutil
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ecgsym.distribution as distribution
 from ecgsym.distribution import (
+    MODES,
     LabeledFeatureSet,
     centroid,
     code_labels,
@@ -111,18 +116,102 @@ def tied_sets(draw):
     return LabeledFeatureSet.from_rows(labels, rows)
 
 
-@given(tied_sets(), st.sampled_from(["forall", "exists"]))
-@settings(max_examples=200)
-def test_one_table_matches_the_column_table_oracle(ds, mode):
+def column_table_counts(ds, mode):
+    """Overlaps per class and pair counts, as lists, from :func:`at_least_as_far`."""
     cond, own = at_least_as_far(ds)
     if mode == "forall":
         hits = (cond | own).all(axis=1)
     else:
         hits = (cond & ~own).any(axis=1)
-    rep = evaluate_distribution(ds, mode)
-    assert rep.class_overlaps == tuple(own[hits].sum(axis=0).tolist())
     blocks = np.split(cond, np.cumsum(ds.sizes)[:-1])
-    assert rep.pair_counts == tuple(tuple(block.sum(axis=0).tolist()) for block in blocks)
+    return own[hits].sum(axis=0).tolist(), [block.sum(axis=0).tolist() for block in blocks]
+
+
+@given(tied_sets(), st.sampled_from(["forall", "exists"]))
+@settings(max_examples=200)
+def test_one_table_matches_the_column_table_oracle(ds, mode):
+    rep = evaluate_distribution(ds, mode)
+    overlaps, pairs = column_table_counts(ds, mode)
+    assert rep.class_overlaps == tuple(overlaps)
+    assert rep.pair_counts == tuple(map(tuple, pairs))
+
+
+# --- the compiled overlap kernel against the numpy table ---------------------------------
+#
+# Where ``_overlap.c`` builds, evaluate_distribution counts through it; where it
+# cannot, through an (m, N) numpy table. Every count is taken both ways here.
+
+compiled = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+def kernel_and_table(ds, mode):
+    """``_overlap_tables`` by the compiled kernel and by the numpy table, as lists."""
+    assert distribution._overlap_kernel() is not None
+    hits, pairs = distribution._overlap_tables(ds, mode)
+    with mock.patch.object(distribution, "_overlap_kernel", lambda: None), np.errstate(over="ignore"):
+        table_hits, table_pairs = distribution._overlap_tables(ds, mode)
+    return (list(map(int, hits)), pairs.tolist()), (list(map(int, table_hits)), table_pairs.tolist())
+
+
+@st.composite
+def dyadic_sets(draw):
+    """2-6 classes of 1-12 points each, sizes drawn apart, in 1-3 dimensions
+    on a grid of quarters, so equal distances abound."""
+    coord = st.integers(-8, 8).map(lambda k: k / 4)
+    row = st.tuples(*[coord] * draw(st.integers(1, 3)))
+    m = draw(st.integers(2, 6))
+    return LabeledFeatureSet({f"C{i}": draw(st.lists(row, min_size=1, max_size=12)) for i in range(m)})
+
+
+@compiled
+@given(dyadic_sets(), st.sampled_from(MODES))
+@settings(max_examples=300)
+def test_the_kernel_counts_as_the_table_does(ds, mode):
+    by_kernel, by_table = kernel_and_table(ds, mode)
+    assert by_kernel == by_table == column_table_counts(ds, mode)
+
+
+def fused_distance(x, c) -> float:
+    """A distance whose every ``s + t * t`` rounds once, as an FMA does."""
+    s = 0.0
+    for a, b in zip(x, c):
+        s = float(Fraction(s) + Fraction(a - b) ** 2)
+    return math.sqrt(s)
+
+
+# A's first row is about as far from A's centroid as from B's one point,
+# so the rounding of each s + t * t decides it
+FMA_A = [(-0.45190322277256345, -0.9858163427936675), (0.29144179114989566, 0.4398187670173861)]
+FMA_B = (-0.04021457154094904, -1.6762957222536432)
+
+
+@compiled
+@pytest.mark.parametrize(
+    "classes, overlaps, pairs",
+    [
+        # (2, 0) is 1 from both centroids: an exact tie counts
+        ({"A": [(0.0, 0.0), (2.0, 0.0)], "B": [(3.0, 0.0)]}, [1, 0], [[2, 1], [0, 1]]),
+        # (0, 0) is at squared distances 1 and 1 + 2^-52, whose sqrts are both 1.0
+        ({"A": [(0.0, 0.0), (2.0, 0.0)], "B": [(-1.0, 2.0**-26)]}, [1, 0], [[2, 1], [0, 1]]),
+        # every square of A's rows overflows to inf, and inf >= inf
+        ({"A": [(1e200, 0.0), (3e200, 0.0)], "B": [(-1e200, 0.0)]}, [2, 0], [[2, 2], [0, 1]]),
+        # one rounding per s + t * t would count A's first row (see below)
+        ({"A": FMA_A, "B": [FMA_B]}, [0, 0], [[2, 0], [0, 1]]),
+    ],
+    ids=["tie", "one-sqrt", "overflow", "no-fma"],
+)
+def test_pinned_decisions_of_the_kernel_and_the_table(classes, overlaps, pairs):
+    ds = LabeledFeatureSet(classes)
+    for mode in MODES:
+        assert kernel_and_table(ds, mode) == ((overlaps, pairs), (overlaps, pairs))
+
+
+def test_the_pinned_cases_sit_on_their_edges():
+    assert 1.0 + 2.0**-52 != 1.0 and math.sqrt(1.0 + 2.0**-52) == 1.0
+    assert 1e200 * 1e200 == math.inf
+    # an FMA would count A's first row, where the pinned counts have it not counted
+    x, own_centroid = FMA_A[0], centroid(FMA_A)
+    assert fused_distance(x, own_centroid) >= fused_distance(x, FMA_B)
 
 
 def test_modes_agree_for_two_classes():
@@ -333,6 +422,9 @@ def test_from_codes_equals_from_rows(case):
 def test_from_codes_rejects_bad_codes_and_names():
     with pytest.raises(ValueError, match="2 labels for 1 points"):
         LabeledFeatureSet.from_codes([0, 0], ["a"], [(0, 0)])
+    # a flat list holds one number per label, not a point per label
+    with pytest.raises(ValueError, match=r"one \(N, d\) array, a row per label"):
+        LabeledFeatureSet.from_rows(["a", "a", "b", "b"], [0.0, 1.0, 5.0, 6.0])
     with pytest.raises(ValueError, match=r"class codes must lie in \[0, 2\)"):
         LabeledFeatureSet.from_codes([0, 2], ["a", "b"], [(0, 0), (1, 1)])
     with pytest.raises(ValueError, match=r"class codes must lie in \[0, 2\)"):

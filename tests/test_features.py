@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ecgsym.distribution as distribution
 import ecgsym.features as features
 import ecgsym.records as records
 from ecgsym._native import build
+from ecgsym.distribution import MODES, LabeledFeatureSet, evaluate_distribution
 from ecgsym.encoding import SymbolSequence
 from ecgsym.experiment import load_features_csv
 from ecgsym.features import (
@@ -27,7 +29,15 @@ from ecgsym.features import (
 )
 from ecgsym.records import read_text_signal
 
-from oracles import entropy_bits, lz_count, lz_count_resumed, lz_phrases, read_feature_rows, read_text_column
+from oracles import (
+    entropy_bits,
+    lz_count,
+    lz_count_resumed,
+    lz_phrases,
+    overlap_counts,
+    read_feature_rows,
+    read_text_column,
+)
 
 binary_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=120)
 ternary_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=120)
@@ -103,6 +113,7 @@ def test_kernel_loads_where_a_compiler_is_found():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert features._lz_kernel() is not None and records._column_parser() is not None
+    assert distribution._overlap_kernel() is not None
     # a code above 3 is left to the Python parse
     assert features._lz_kernel()(b"\x00\x04", 2) == -1
     assert lz(b"\x00\x04\x00\x04") == lz_count(b"\x00\x04\x00\x04") == 3
@@ -264,6 +275,12 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_parse(tmp_path, monkeyp
     codes, names, points = load_features_csv(table)
     labels, want = read_feature_rows(table)
     assert [names[c] for c in codes] == labels and points.tolist() == [list(p) for p in want]
+    kernel = failed_build(tmp_path, monkeypatch, fault, "_overlap.c", "overlap")
+    monkeypatch.setattr(distribution, "_overlap_kernel", kernel)
+    classes = {"A": [(0.0, 0.0), (2.0, 0.0), (0.5, 1.0)], "B": [(3.0, 0.0), (1.0, 0.5)]}
+    for mode in MODES:
+        want = overlap_counts(classes, mode)
+        assert evaluate_distribution(LabeledFeatureSet(classes), mode).class_overlaps == (want["A"], want["B"])
 
 
 def test_a_changed_source_is_built_anew(tmp_path):

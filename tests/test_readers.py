@@ -175,6 +175,13 @@ def test_plain_files_take_the_one_pass_parse(path):
     text, first = read_rows(path, skip_header=True)
     assert first == 2
     np.testing.assert_array_equal(parse_columns(text, (1,)), [[2.0], [4.0]])
+    # a space or tab delimiter: the row is stripped, then cut on that byte, so
+    # a leading or trailing one is dropped and a doubled one is an empty field
+    for delimiter in " \t":
+        text = " \t1{0}{0}2\t \n{0}3{0}{0}4{0}\n".format(delimiter)
+        want = parse_rows(path, text, 1, (0, 2), delimiter, 3)[1]
+        np.testing.assert_array_equal(parse_columns(text, (0, 2), delimiter, 3), want)
+        np.testing.assert_array_equal(want, [[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize(
@@ -183,7 +190,7 @@ def test_plain_files_take_the_one_pass_parse(path):
         ("1_0\n", None),  # float() reads it, the pass does not
         ("nan\n", None),
         ("1,\x1c2\n", ","),  # \x1c is a separator to str.split, so the pass refuses every control byte but \t
-        (" 1 2\n", " "),  # a leading delimiter shifts str.split's columns once the row is stripped
+        ("1 \xa02\n", " "),  # \xa0 is whitespace to str.strip, so a space or tab delimiter refuses non-ASCII
         ("1ab2\n", "ab"),
         ("\n \n", None),
     ],
@@ -232,9 +239,11 @@ COMMA_REFUSED = ["", "1 2"]  # fields only between commas
 @st.composite
 def tables(draw, refused: bool = False):
     """(text, delimiter, columns, fields) of rows of one field count, read by
-    ``,`` or by whitespace, with blank rows and padding of spaces and tabs;
-    with ``refused``, one read field of one row is a field the pass refuses."""
-    delimiter = draw(st.sampled_from([",", None]))
+    ``,``, by whitespace, by a space or by a tab, with blank rows and padding
+    of spaces and tabs; a space or tab delimiter is also leading, doubled and
+    trailing. With ``refused``, one read field of one row is a field the pass
+    refuses."""
+    delimiter = draw(st.sampled_from([",", None, " ", "\t"]))
     count = draw(st.integers(1, 4))
     columns = tuple(draw(st.permutations(range(count)))[: draw(st.integers(1, count))])
     rows = draw(st.lists(rarely(st.none(), st.lists(NUMERALS, min_size=count, max_size=count), 6), max_size=8))
@@ -243,7 +252,7 @@ def tables(draw, refused: bool = False):
         if not full:
             full = [draw(st.lists(NUMERALS, min_size=count, max_size=count))]
             rows.append(full[0])
-        odd = REFUSED + COMMA_REFUSED if delimiter else REFUSED
+        odd = REFUSED + COMMA_REFUSED if delimiter == "," else REFUSED
         draw(st.sampled_from(full))[draw(st.sampled_from(columns))] = draw(st.sampled_from(odd))
     pad = st.sampled_from(["", "", " ", "\t", " \t "])
     gap = st.sampled_from([" ", "\t", "  ", " \t"])
@@ -251,8 +260,17 @@ def tables(draw, refused: bool = False):
     for row in rows:
         if row is None:
             lines.append(draw(st.sampled_from(["", " ", "\t", " \t"])))
-        elif delimiter:
+        elif delimiter == ",":
             lines.append(delimiter.join(draw(pad) + field + draw(pad) for field in row))
+        elif delimiter:
+            # padding of the other blank; a doubled delimiter is an empty field,
+            # which shifts the columns, so it is left out with ``refused``
+            other = st.sampled_from(["", "", " \t".replace(delimiter, "")])
+            ends = st.sampled_from(["", delimiter, 2 * delimiter, " \t"])
+            line = delimiter.join(draw(other) + field + draw(other) for field in row)
+            if not refused:
+                line = line.replace(delimiter, 2 * delimiter, draw(rarely(st.just(1), st.just(0), 8)))
+            lines.append(draw(ends) + line + draw(ends))
         else:
             lines.append(draw(pad) + row[0] + "".join(draw(gap) + field for field in row[1:]) + draw(pad))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
@@ -265,6 +283,8 @@ def tables(draw, refused: bool = False):
 @example(("-0\n \n1e-400\n4.9e-324\n", None, (0,), None))
 @example(("a,+,.5\n", ",", (2,), 3))
 @example(("5.,9007199254740993\n\t\n", ",", (0, 1), None))
+@example((" \t1  2\t \n\t\n3 \t4 \n", " ", (0, 2), 3))  # leading, doubled and trailing spaces
+@example(("\t1\t\t2 \n 3\t 4\t\t\n", "\t", (0,), None))  # leading, doubled and trailing tabs
 def test_the_pass_gives_the_row_loop_values_bit_for_bit(table):
     text, delimiter, columns, fields = table
     want = outcome(parse_rows, "p", text, 1, columns, delimiter, fields)
