@@ -389,14 +389,14 @@ _COMMANDS = {  # name: (help, function adding its flags, handler)
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """Every subcommand, with the flags of ``command`` only (all when None);
-    a subparser's ``parser`` default is itself, read by _config_from_args."""
+    """The subcommand ``command`` alone, or every subcommand when None; a
+    subparser's ``parser`` default is itself, read by _config_from_args."""
     parser = _Parser(prog="ecgsym", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(parser=p)
         if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(parser=p)
             add_flags(p)
     return parser
 
@@ -406,8 +406,9 @@ def main(argv=None) -> int:
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     argv = sys.argv[1:] if argv is None else argv
-    # the top level has no option but -h: the first subcommand name runs
-    command = next((arg for arg in argv if arg in _COMMANDS), "")
+    # the top level has no option but -h, so a first argument that names a
+    # subcommand runs it; anything else (-h, an unknown name) needs them all
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
         return _COMMANDS[args.command][2](args)

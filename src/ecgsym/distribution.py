@@ -156,14 +156,16 @@ def _overlap_tables(dataset: LabeledFeatureSet, mode: str) -> tuple[list[int], n
             return hits.tolist(), pairs
     dists = np.zeros((len(blocks), len(points)))
     own = np.empty(len(points))
-    for j, (lo, hi) in enumerate(blocks):
-        # a coordinate at a time, so every temporary is one (N,) row
-        for column, c in zip(points.T, centroids[j]):
-            diff = column - c
-            diff *= diff
-            dists[j] += diff
-        np.sqrt(dists[j], out=dists[j])
-        own[lo:hi] = dists[j, lo:hi]
+    # a square past the float range is inf, as in the kernel, and as silent
+    with np.errstate(over="ignore"):
+        for j, (lo, hi) in enumerate(blocks):
+            # a coordinate at a time, so every temporary is one (N,) row
+            for column, c in zip(points.T, centroids[j]):
+                diff = column - c
+                diff *= diff
+                dists[j] += diff
+            np.sqrt(dists[j], out=dists[j])
+            own[lo:hi] = dists[j, lo:hi]
     cond = own >= dists
     pairs = np.stack([np.count_nonzero(cond[:, lo:hi], axis=1) for lo, hi in blocks])
     if mode == "forall":

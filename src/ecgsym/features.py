@@ -101,10 +101,13 @@ def lz_complexity(seq) -> int:
     where the copy at ``p`` does not go on with the word's last symbol does
     the search resume, at ``p + 1``; the phrase closes when no copy is left.
     """
-    codes = _as_symbols(seq)
-    if codes.ndim != 1:
-        raise ValueError("lz_complexity parses one sequence, not rows")
-    s = codes.tobytes()
+    if isinstance(seq, bytes) and seq:
+        s = seq  # its own codes, as :func:`_as_symbols` reads them
+    else:
+        codes = _as_symbols(seq)
+        if codes.ndim != 1:
+            raise ValueError("lz_complexity parses one sequence, not rows")
+        s = codes.tobytes()
     n = len(s)
     kernel = _lz_kernel()
     if kernel is not None and (count := kernel(s, n)) >= 0:

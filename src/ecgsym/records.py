@@ -133,14 +133,17 @@ def numbered_rows(text: str, first: int):
 
 @lru_cache(maxsize=None)
 def _column_parser():
-    """``parse_columns`` of ``_columns.c``, built at the first call (:func:`_native.build`), or None."""
+    """``sweep`` and ``parse_columns`` of ``_columns.c``, built at the first
+    call (:func:`_native.build`), or None."""
     from ._native import build
 
-    c_long = ctypes.c_long
-    return build(
-        Path(__file__).with_name("_columns.c"), "parse_columns", c_long,
+    c_long, source = ctypes.c_long, Path(__file__).with_name("_columns.c")
+    sweep = build(source, "sweep", c_long, ctypes.c_char_p, c_long, ctypes.c_int)
+    parse = build(
+        source, "parse_columns", c_long,
         ctypes.c_char_p, c_long, ctypes.c_int, ctypes.POINTER(c_long), c_long, c_long, ctypes.c_void_p, c_long,
     )
+    return None if sweep is None or parse is None else (sweep, parse)
 
 
 def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = None, fields: int | None = None):
@@ -152,10 +155,14 @@ def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = N
     ``fields`` every row must hold exactly that many. Where the pass
     succeeds each value is what float() gives for its field, bit for bit:
     the pass reads only plain ASCII decimals (``_columns.c`` gives the
-    grammar), and refuses text holding a control byte other than a tab
-    and, split on whitespace, a space or a tab, text holding a non-ASCII
-    byte. It is not tried where the delimiter is not one ASCII character or
-    is whitespace other than a space or a tab, nor where ``_columns.c``
+    grammar). A first sweep over the bytes, eight at a time, refuses text
+    holding a control byte other than a tab and, split on whitespace, a
+    space or a tab, text holding a non-ASCII byte; it counts the newlines,
+    which size the array. A field of at most 19 significant digits and a
+    power of ten within 10^±22 is rounded by Clinger's fast path or, above
+    2^53, exactly in 128-bit integers; any other by ``strtod``. The pass is
+    not tried where the delimiter is not one ASCII character or is
+    whitespace other than a space or a tab, nor where ``_columns.c``
     cannot be built. On None, callers read the rows one at a time: to name
     the first bad row, or to take a literal that float() accepts and the
     pass refuses, such as ``1_0``, ``inf`` or ``0x1p3``.
@@ -164,10 +171,14 @@ def parse_columns(text: str, columns: tuple[int, ...], delimiter: str | None = N
     odd = delimiter and (len(delimiter) != 1 or not delimiter.isascii() or delimiter.isspace() and delimiter not in " \t")
     if parser is None or odd:
         return None
-    data = text.encode()
-    values = np.empty((data.count(b"\n") + 1, len(columns)))
-    rows = parser(
-        data, len(data), ord(delimiter) if delimiter else -1, (ctypes.c_long * len(columns))(*columns),
+    sweep, parse = parser
+    data, split = text.encode(), ord(delimiter) if delimiter else -1
+    newlines = sweep(data, len(data), split)
+    if newlines < 0:
+        return None
+    values = np.empty((newlines + 1, len(columns)))
+    rows = parse(
+        data, len(data), split, (ctypes.c_long * len(columns))(*columns),
         len(columns), fields or 0, values.ctypes.data, len(values),
     )
     return values[:rows] if rows > 0 else None

@@ -1,5 +1,6 @@
 import math
 import shutil
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -148,7 +149,7 @@ def kernel_and_table(ds, mode):
     """``_overlap_tables`` by the compiled kernel and by the numpy table, as lists."""
     assert distribution._overlap_kernel() is not None
     hits, pairs = distribution._overlap_tables(ds, mode)
-    with mock.patch.object(distribution, "_overlap_kernel", lambda: None), np.errstate(over="ignore"):
+    with mock.patch.object(distribution, "_overlap_kernel", lambda: None):
         table_hits, table_pairs = distribution._overlap_tables(ds, mode)
     return (list(map(int, hits)), pairs.tolist()), (list(map(int, table_hits)), table_pairs.tolist())
 
@@ -204,6 +205,16 @@ def test_pinned_decisions_of_the_kernel_and_the_table(classes, overlaps, pairs):
     ds = LabeledFeatureSet(classes)
     for mode in MODES:
         assert kernel_and_table(ds, mode) == ((overlaps, pairs), (overlaps, pairs))
+
+
+def test_squares_past_the_float_range_warn_neither_way():
+    ds = LabeledFeatureSet({"A": [(1e200, 0.0), (3e200, 0.0)], "B": [(-1e200, 0.0)]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in MODES:
+            distribution._overlap_tables(ds, mode)
+            with mock.patch.object(distribution, "_overlap_kernel", lambda: None):
+                distribution._overlap_tables(ds, mode)
 
 
 def test_the_pinned_cases_sit_on_their_edges():

@@ -12,6 +12,7 @@ for bit on every field of its grammar, and None on any other.
 import contextlib
 import io
 import shutil
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -252,7 +253,9 @@ def tables(draw, refused: bool = False):
         if not full:
             full = [draw(st.lists(NUMERALS, min_size=count, max_size=count))]
             rows.append(full[0])
-        odd = REFUSED + COMMA_REFUSED if delimiter == "," else REFUSED
+        # an empty field alone is a blank row, which the pass skips
+        comma = [field for field in COMMA_REFUSED if field or count > 1]
+        odd = REFUSED + comma if delimiter == "," else REFUSED
         draw(st.sampled_from(full))[draw(st.sampled_from(columns))] = draw(st.sampled_from(odd))
     pad = st.sampled_from(["", "", " ", "\t", " \t "])
     gap = st.sampled_from([" ", "\t", "  ", " \t"])
@@ -301,6 +304,73 @@ def test_the_pass_gives_the_row_loop_values_bit_for_bit(table):
 def test_a_field_off_the_grammar_gives_none(table):
     text, delimiter, columns, fields = table
     assert parse_columns(text, columns, delimiter, fields) is None
+
+
+@st.composite
+def long_mantissas(draw):
+    """m * 10^q with 17 to 19 digits in m, q on both sides of the integer
+    route's |q| <= 22, written with its point anywhere; or, just as often,
+    the midpoint between the double that m * 10^q rounds to and the next one
+    up, rounded to 17 to 19 digits and moved by at most one unit in its last
+    digit, so that it falls just below, on or just above the midpoint."""
+    n, q = draw(st.integers(17, 19)), draw(st.integers(-25, 25))
+    m = draw(st.integers(10 ** (n - 1), 10**n - 1))
+    if draw(st.booleans()):
+        low = float(f"{m}e{q}")
+        with localcontext() as exact:
+            exact.prec = 1000
+            mid = (Decimal(low) + Decimal(float(np.nextafter(low, np.inf)))) / 2
+        mantissa, exponent = f"{mid:.{n - 1}e}".split("e")
+        m, q = int(mantissa.replace(".", "")) + draw(st.integers(-1, 1)), int(exponent) - (n - 1)
+    digits, point = str(m), draw(st.integers(0, 19))
+    if point >= len(digits):
+        return f"{digits}e{q}"
+    return f"{digits[:point]}.{digits[point:]}e{q + len(digits) - point}"
+
+
+@compiled
+@settings(max_examples=300)
+@given(st.lists(long_mantissas(), min_size=1, max_size=20))
+@example(["9007199254740993", "9007199254740995", "4503599627370497.5", "4503599627370498.5"])  # ties to even
+@example(["18014398509481985e0", "1801439850948198500e-2", "9223372036854775807e-22", "9999999999999999999e22"])
+def test_long_mantissas_round_as_float_does(fields):
+    got = parse_columns("\n".join(fields), (0,))
+    assert got is not None and bits(got[:, 0]) == bits([float(field) for field in fields])
+
+
+# two full words then a short last one: each offset 0-15 lies in a full word
+# of the 20-byte texts and, from 8 on, in the short last word of the 12-byte ones
+SWEPT = [
+    ("ab,1,2\ncd,3,4\nef,5,6\n", ",", (1, 2)),
+    ("a 1\nb 2\nc 3\n", None, (1,)),
+    ("a1 1\nb2 2\nc3 3\nd4 4\n", " ", (1,)),
+    ("a\t1\nb\t2\nc\t3\n", "\t", (1,)),
+]
+
+
+@compiled
+@pytest.mark.parametrize("text, delimiter, columns", SWEPT)
+@pytest.mark.parametrize("byte", ["\x00", "\x01", "\x0b", "\x0c", "\r", "\xe9"])
+def test_a_control_or_non_ascii_byte_anywhere_gives_none(text, delimiter, columns, byte):
+    assert parse_columns(text, columns, delimiter) is not None
+    if byte == "\xe9" and delimiter == ",":
+        byte = "\x1f"  # a non-ASCII label is read when the split is on a comma
+    for offset in range(16):
+        assert parse_columns(text[:offset] + byte + text[offset:], columns, delimiter) is None, offset
+
+
+@compiled
+@pytest.mark.parametrize("delimiter", [",", None, " ", "\t"])
+def test_a_last_row_without_a_newline_is_read(path, delimiter):
+    sep = delimiter or " \t"
+    for n in range(1, 12):
+        text = "\n".join(f"{i}{sep}{i / 8}" for i in range(n))
+        want = [[float(i), i / 8] for i in range(n)]
+        assert parse_columns(text, (0, 1), delimiter).tolist() == want
+        assert parse_columns(text + "\n", (0, 1), delimiter).tolist() == want
+    path.write_text("a,1,2\nb,3,4")
+    codes, names, points = load_features_csv(path)
+    assert names == ("a", "b") and points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_rows_are_counted_on_newlines_only(path, capsys):
